@@ -10,6 +10,10 @@ type t = {
   mutable peer : t option;
   faults : Faults.t option ref;
   key : string; (* stats key prefix *)
+  (* Per-frame counter keys, built once. *)
+  rx_key : string;
+  tx_key : string;
+  drops_key : string;
   (* Datapath shards the receive queues fold onto (queue q -> shard
      q mod shards): the context shard-pinned wire-fault armings match
      against.  Defaults to the queue count (identity) until the runtime
@@ -31,35 +35,36 @@ let ip t = t.ip
 
 let queue_count t = Array.length t.rx_queues
 
-let rx_packets t = Sim.Stats.get (stats t) (t.key ^ ".rx")
+let rx_packets t = Sim.Stats.get (stats t) t.rx_key
 
-let tx_packets t = Sim.Stats.get (stats t) (t.key ^ ".tx")
+let tx_packets t = Sim.Stats.get (stats t) t.tx_key
 
 let rx_pending t = Array.map Sim.Mailbox.length t.rx_queues
 
 let tx_pending t = Sim.Mailbox.length t.tx_queue
 
-let drops t = Sim.Stats.get (stats t) (t.key ^ ".drops")
+let drops t = Sim.Stats.get (stats t) t.drops_key
 
 (* Hardware RSS: the symmetric Toeplitz flow hash pins each UDP flow to
    one receive queue for the NIC's lifetime.  Non-UDP traffic (ARP) has
    no 4-tuple and lands on queue 0. *)
-let steer t frame =
-  match Packet.Frame.peek_udp_flow frame with
+let queue_of_flow t = function
   | Some (src_ip, dst_ip, src_port, dst_port) ->
       Packet.Rss.queue
         ~queues:(Array.length t.rx_queues)
         ~src_ip ~dst_ip ~src_port ~dst_port
   | None -> 0
 
+let steer t frame = queue_of_flow t (Packet.Frame.peek_udp_flow frame)
+
 let deliver t frame =
-  let q = steer t frame in
+  let flow = Packet.Frame.peek_udp_flow frame in
+  let q = queue_of_flow t flow in
   if Sim.Mailbox.try_put t.rx_queues.(q) frame then begin
-    Sim.Stats.incr (stats t) (t.key ^ ".rx");
-    if Packet.Frame.peek_udp_flow frame <> None then
-      t.udp_rx.(q) <- t.udp_rx.(q) + 1
+    Sim.Stats.incr (stats t) t.rx_key;
+    if Option.is_some flow then t.udp_rx.(q) <- t.udp_rx.(q) + 1
   end
-  else Sim.Stats.incr (stats t) (t.key ^ ".drops")
+  else Sim.Stats.incr (stats t) t.drops_key
 
 let udp_rx_per_queue t = Array.copy t.udp_rx
 
@@ -187,7 +192,7 @@ let tx_process t () =
         (float_of_int (Bytes.length frame) *. !Sgx.Params.live_wire_cycles_per_byte)
     in
     Sim.Engine.delay wire_cycles;
-    Sim.Stats.incr (stats t) (t.key ^ ".tx");
+    Sim.Stats.incr (stats t) t.tx_key;
     (match t.peer with
     | Some peer -> wire_transmit t peer frame
     | None -> ());
@@ -207,6 +212,7 @@ let rx_process t q () =
 
 let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
   if queues <= 0 then invalid_arg "Nic.create: need at least one queue";
+  let key = Printf.sprintf "nic.%d" id in
   let t =
     {
       engine;
@@ -221,7 +227,10 @@ let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
       udp_rx = Array.make queues 0;
       peer = None;
       faults;
-      key = Printf.sprintf "nic.%d" id;
+      key;
+      rx_key = key ^ ".rx";
+      tx_key = key ^ ".tx";
+      drops_key = key ^ ".drops";
       shards = queues;
       held = None;
       held_gen = 0;
@@ -246,4 +255,4 @@ let set_rx_handler t ~queue f =
 
 let transmit t frame =
   if not (Sim.Mailbox.try_put t.tx_queue frame) then
-    Sim.Stats.incr (stats t) (t.key ^ ".drops")
+    Sim.Stats.incr (stats t) t.drops_key

@@ -12,7 +12,8 @@
     exist purely to model contention costs). *)
 
 type time = int64
-(** Simulated time in CPU cycles since the start of the run. *)
+(** Simulated time in CPU cycles since the start of the run.  Times and
+    delays of 2{^62} cycles or more saturate at the end of time. *)
 
 type t
 (** A simulation engine instance: clock, event queue and statistics. *)
@@ -59,9 +60,10 @@ val stop : t -> unit
     workloads to end a run while server processes are still live. *)
 
 val run : ?until:time -> t -> unit
-(** Execute events in time order until the queue is empty, [stop] was
-    called, or the clock would pass [until].  May be called again to
-    resume after a [stop] or [until] cut-off. *)
+(** Execute events in (time, scheduling order) order until the queue is
+    empty, [stop] was called, or the clock would pass [until]; in the
+    last case the clock advances to [until] but never moves back.  May
+    be called again to resume after a [stop] or [until] cut-off. *)
 
 val pending : t -> int
 (** Number of queued events (diagnostic). *)

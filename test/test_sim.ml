@@ -1,5 +1,5 @@
 (* Tests for the discrete-event engine, conditions, mailboxes, locks,
-   the priority queue and the RNG. *)
+   stats and the RNG. *)
 
 open Sim
 
@@ -8,40 +8,6 @@ let check = Alcotest.(check int)
 let check64 = Alcotest.(check int64)
 
 let check_bool = Alcotest.(check bool)
-
-(* {1 Pqueue} *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create ~cmp:compare in
-  List.iter (fun k -> Pqueue.push q k (string_of_int k)) [ 5; 1; 4; 1; 3; 9 ];
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let test_pqueue_peek () =
-  let q = Pqueue.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Pqueue.peek q = None);
-  Pqueue.push q 2 "b";
-  Pqueue.push q 1 "a";
-  (match Pqueue.peek q with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "peek should be smallest");
-  check "peek does not remove" 2 (Pqueue.length q)
-
-let test_pqueue_grow () =
-  let q = Pqueue.create ~cmp:compare in
-  for i = 1000 downto 1 do
-    Pqueue.push q i i
-  done;
-  check "length" 1000 (Pqueue.length q);
-  (match Pqueue.pop q with
-  | Some (1, 1) -> ()
-  | _ -> Alcotest.fail "min of 1000");
-  Pqueue.clear q;
-  check_bool "cleared" true (Pqueue.is_empty q)
 
 (* {1 Engine} *)
 
@@ -116,10 +82,14 @@ let test_engine_stop () =
 
 let test_engine_at_callback () =
   let e = Engine.create () in
-  let fired = ref 0L in
-  Engine.at e 500L (fun () -> fired := Engine.now e);
+  let fired = ref 0L and inside = ref true in
+  Engine.spawn e (fun () ->
+      Engine.at e 500L (fun () ->
+          fired := Engine.now e;
+          inside := Engine.in_process ()));
   Engine.run e;
-  check64 "at fires at time" 500L !fired
+  check64 "at fires at time" 500L !fired;
+  check_bool "callback runs outside any process" false !inside
 
 let test_engine_past_at_runs_now () =
   let e = Engine.create () in
@@ -133,7 +103,8 @@ let test_engine_past_at_runs_now () =
 let test_engine_exception_propagates () =
   let e = Engine.create () in
   Engine.spawn e (fun () -> failwith "boom");
-  Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run e)
+  Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run e);
+  check_bool "ambient engine restored" false (Engine.in_process ())
 
 let test_engine_delay_outside_process () =
   (* Setup code outside processes may charge; it is a no-op. *)
@@ -149,6 +120,213 @@ let test_engine_stats () =
   let e = Engine.create () in
   Stats.incr (Engine.stats e) "x";
   check "stats attached" 1 (Stats.get (Engine.stats e) "x")
+
+(* Two [run ~until] cut-offs, the second before the first: the clock must
+   not move back. *)
+let test_engine_until_monotone () =
+  let e = Engine.create () in
+  Engine.at e 100L ignore;
+  Engine.at e 1000L ignore;
+  Engine.run ~until:500L e;
+  check64 "at first horizon" 500L (Engine.now e);
+  Engine.run ~until:200L e;
+  check64 "earlier horizon leaves the clock alone" 500L (Engine.now e);
+  check "later event still queued" 1 (Engine.pending e)
+
+(* Horizons and delays past the 63-bit range saturate; they never wrap
+   into the past. *)
+let test_engine_huge_times_saturate () =
+  let e = Engine.create () in
+  let woke = ref 0L in
+  Engine.spawn e (fun () ->
+      Engine.delay 10L;
+      Engine.delay Int64.max_int;
+      woke := Engine.now e);
+  Engine.run ~until:Int64.max_int e;
+  check64 "saturated delay wakes at the end of time"
+    (Int64.of_int max_int) !woke;
+  let e = Engine.create () in
+  let fired = ref false in
+  Engine.at e 0x4000_0000_0000_0000L (fun () -> fired := true);
+  Engine.run ~until:0x4000_0000_0000_0000L e;
+  check_bool "2^62 horizon reaches a 2^62 event" true !fired;
+  let e = Engine.create () in
+  Engine.at e 1000L ignore;
+  Engine.run ~until:Int64.min_int e;
+  check64 "negative horizon leaves the clock at zero" 0L (Engine.now e);
+  check "event kept" 1 (Engine.pending e)
+
+(* {2 Ordering property}
+
+   Random schedules of [at] callbacks and processes that [delay] and
+   [yield], with nested scheduling from inside events (so ties, past
+   times and zero delays all occur), must run in the order of a
+   reference scheduler: a list kept in insertion order, stably sorted by
+   max(time, now at scheduling) before every pick. *)
+
+type action = At of int * action list | Spawn of step list
+
+and step = Delay of int | Yield | Do of action
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let time = oneof [ int_range 0 40; int_range 0 300; return 0 ] in
+  let dly = oneofl [ 0; 0; 1; 5; 10; 40 ] in
+  let rec action depth =
+    let nested =
+      if depth = 0 then return []
+      else list_size (int_range 0 2) (action (depth - 1))
+    in
+    let leaf = [ (4, map (fun d -> Delay d) dly); (2, return Yield) ] in
+    let step =
+      if depth = 0 then frequency leaf
+      else frequency ((1, map (fun a -> Do a) (action (depth - 1))) :: leaf)
+    in
+    frequency
+      [
+        (1, map2 (fun t n -> At (t, n)) time nested);
+        (1, map (fun s -> Spawn s) (list_size (int_range 0 4) step));
+      ]
+  in
+  list_size (int_range 1 8) (action 2)
+
+let show_list show l = String.concat ";" (List.map show l)
+
+let rec show_action = function
+  | At (t, n) -> Printf.sprintf "At(%d,[%s])" t (show_list show_action n)
+  | Spawn s -> Printf.sprintf "Spawn[%s]" (show_list show_step s)
+
+and show_step = function
+  | Delay d -> Printf.sprintf "D%d" d
+  | Yield -> "Y"
+  | Do a -> show_action a
+
+(* Each log entry is (event id, resumption number, time). *)
+let engine_order actions =
+  let e = Engine.create () in
+  let ids = ref 0 and log = ref [] in
+  let note id k = log := (id, k, Int64.to_int (Engine.now e)) :: !log in
+  let rec issue = function
+    | At (t, nested) ->
+        incr ids;
+        let id = !ids in
+        Engine.at e (Int64.of_int t) (fun () ->
+            note id 0;
+            List.iter issue nested)
+    | Spawn steps ->
+        incr ids;
+        let id = !ids in
+        Engine.spawn e (fun () ->
+            note id 0;
+            let k = ref 0 in
+            let resumed () =
+              incr k;
+              note id !k
+            in
+            List.iter
+              (function
+                | Do a -> issue a
+                | Delay d ->
+                    Engine.delay (Int64.of_int d);
+                    resumed ()
+                | Yield ->
+                    Engine.yield ();
+                    resumed ())
+              steps)
+  in
+  List.iter issue actions;
+  Engine.run e;
+  List.rev !log
+
+let reference_order actions =
+  let now = ref 0 and ids = ref 0 and queue = ref [] and log = ref [] in
+  let push time ev = queue := !queue @ [ (max time !now, ev) ] in
+  let rec issue = function
+    | At (t, nested) ->
+        incr ids;
+        push t (`Call (!ids, nested))
+    | Spawn steps ->
+        incr ids;
+        push !now (`Proc (!ids, 0, steps))
+  and resume id k = function
+    | [] -> ()
+    | Do a :: rest ->
+        issue a;
+        resume id k rest
+    | Delay d :: rest -> push (!now + d) (`Proc (id, k + 1, rest))
+    | Yield :: rest -> push !now (`Proc (id, k + 1, rest))
+  in
+  List.iter issue actions;
+  let rec loop () =
+    match List.stable_sort (fun (a, _) (b, _) -> compare a b) !queue with
+    | [] -> ()
+    | (time, ev) :: rest ->
+        queue := rest;
+        now := time;
+        (match ev with
+        | `Call (id, nested) ->
+            log := (id, 0, time) :: !log;
+            List.iter issue nested
+        | `Proc (id, k, steps) ->
+            log := (id, k, time) :: !log;
+            resume id k steps);
+        loop ()
+  in
+  loop ();
+  List.rev !log
+
+let prop_engine_order =
+  QCheck.Test.make ~count:500
+    ~name:"engine: events run in (max(time, now), insertion) order"
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map show_action l))
+       gen_schedule)
+    (fun actions -> engine_order actions = reference_order actions)
+
+(* {2 Allocation}
+
+   The steady-state cost of the scheduler itself, in minor-heap words.
+   A suspension allocates its continuation and the event that resumes
+   it; the clock is boxed once per distinct time. *)
+
+let round_trips = 100_000
+
+let words_per_round_trip body =
+  let e = Engine.create () in
+  body e;
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  (Gc.minor_words () -. w0) /. float_of_int round_trips
+
+let test_engine_delay_allocation () =
+  let words =
+    words_per_round_trip (fun e ->
+        for _ = 1 to 2 do
+          Engine.spawn e (fun () ->
+              for _ = 1 to round_trips / 2 do
+                Engine.delay 1L
+              done)
+        done)
+  in
+  if words > 8. then
+    Alcotest.failf "delay round trip allocates %.2f words (budget 8)" words
+
+let test_condition_allocation () =
+  let words =
+    words_per_round_trip (fun e ->
+        let c = Condition.create () in
+        Engine.spawn e (fun () ->
+            for _ = 1 to round_trips do
+              Condition.wait c
+            done);
+        Engine.spawn e (fun () ->
+            for _ = 1 to round_trips do
+              Engine.delay 1L;
+              Condition.signal c
+            done))
+  in
+  if words > 45. then
+    Alcotest.failf "wait+signal+delay allocates %.2f words (budget 45)" words
 
 (* {1 Condition} *)
 
@@ -371,9 +549,6 @@ let test_cycles_wire_rate () =
 
 let suite =
   [
-    ("pqueue: ordering", `Quick, test_pqueue_order);
-    ("pqueue: peek", `Quick, test_pqueue_peek);
-    ("pqueue: growth and clear", `Quick, test_pqueue_grow);
     ("engine: time advances with delay", `Quick, test_engine_time_advances);
     ("engine: processes interleave by time", `Quick, test_engine_interleaving);
     ("engine: same-time events are FIFO", `Quick, test_engine_fifo_same_time);
@@ -388,6 +563,13 @@ let suite =
     ("engine: suspend outside process raises", `Quick,
      test_engine_suspend_outside_raises);
     ("engine: stats registry attached", `Quick, test_engine_stats);
+    ("engine: clock never runs backwards", `Quick, test_engine_until_monotone);
+    ("engine: huge times saturate", `Quick, test_engine_huge_times_saturate);
+    QCheck_alcotest.to_alcotest ~rand:(Flake.rand ()) prop_engine_order;
+    ("engine: delay round trip allocation budget", `Quick,
+     test_engine_delay_allocation);
+    ("engine: condition round trip allocation budget", `Quick,
+     test_condition_allocation);
     ("condition: signal wakes one", `Quick, test_condition_signal_wakes_one);
     ("condition: broadcast wakes all", `Quick,
      test_condition_broadcast_wakes_all);
