@@ -186,7 +186,9 @@ let run_zc_json () =
    admission control every admitted op rides the full-crowd queue;
    with it the controller sheds at the edge (visible as [server_shed])
    and the admitted tail stays short.  Admission control that does not
-   buy tail latency would be dead weight. *)
+   buy tail latency would be dead weight.  The host is honest, so any
+   leg reporting a ring-check failure or descriptor reject also fails
+   the bench. *)
 
 let kv_server_threads = 4
 
@@ -208,7 +210,7 @@ let kv_harness ~overload =
 let kv_crowd_connections = 640
 
 let run_kv_json () =
-  let run ~overload ~crowd =
+  let run ~tag ~overload ~crowd =
     let h = kv_harness ~overload in
     let config =
       if crowd then
@@ -221,16 +223,25 @@ let run_kv_json () =
       else { Apps.Loadgen.default with connections = 16; ops = 6000 }
     in
     let s = Apps.Loadgen.run ~config h ~server_threads:kv_server_threads in
-    let server_shed =
+    let rt =
       match Libos.Env.runtime h.Apps.Harness.env with
-      | None -> 0
-      | Some rt -> Rakis.Runtime.total_overload_shed rt
+      | Some rt -> rt
+      | None -> failwith "kv: no RAKIS runtime"
     in
-    (s, server_shed)
+    let ring = Rakis.Runtime.total_ring_check_failures rt
+    and desc = Rakis.Runtime.total_desc_rejects rt in
+    if ring > 0 || desc > 0 then begin
+      Format.printf
+        "FAIL: kv %s leg on an honest host: %d ring-check failures, %d \
+         descriptor rejects@."
+        tag ring desc;
+      exit 1
+    end;
+    (s, Rakis.Runtime.total_overload_shed rt)
   in
-  let base, _ = run ~overload:false ~crowd:false in
-  let hot, _ = run ~overload:false ~crowd:true in
-  let ctl, ctl_shed = run ~overload:true ~crowd:true in
+  let base, _ = run ~tag:"baseline" ~overload:false ~crowd:false in
+  let hot, _ = run ~tag:"overload_nocontrol" ~overload:false ~crowd:true in
+  let ctl, ctl_shed = run ~tag:"overload_shedding" ~overload:true ~crowd:true in
   let fields tag ((s : Apps.Loadgen.stats), server_shed) =
     [
       (tag ^ "_offered", I s.Apps.Loadgen.offered);
@@ -309,18 +320,7 @@ let run_lossy_json () =
       }
     in
     let s = Apps.Loadgen.run ~config h ~server_threads:kv_server_threads in
-    let kstats = Sim.Engine.stats h.Apps.Harness.engine in
-    (* the loadgen CLI's silent-loss residue (bin/rakis_run.ml): what
-       neither the client books nor the server-side accounted drops nor
-       the client-kernel socket drops explain *)
-    let silent =
-      s.Apps.Loadgen.lost - s.Apps.Loadgen.late - s.Apps.Loadgen.rdp_gave_up
-      - Rakis.Runtime.total_accounted_drops rt
-      - Rakis.Runtime.total_overload_shed rt
-      - Sim.Stats.get kstats "udp.no_socket_drops"
-      - Sim.Stats.get kstats "udp.buffer_drops"
-    in
-    (s, Rakis.Runtime.total_wire_losses rt, max 0 silent)
+    (s, Rakis.Runtime.total_wire_losses rt, s.Apps.Loadgen.unaccounted)
   in
   let plain, plain_wire, plain_silent = leg ~rdp:false in
   let over, over_wire, over_silent = leg ~rdp:true in

@@ -3,8 +3,9 @@
 
      dune exec bin/rakis_run.exe -- iperf --env rakis-sgx --packets 20000
      dune exec bin/rakis_run.exe -- redis --env gramine-sgx --command get
-     dune exec bin/rakis_run.exe -- verify       # Testing Module: model check
-     dune exec bin/rakis_run.exe -- fuzz -n 100000 *)
+
+   The Testing Module has its own entry points, bin/tm_verify and
+   bin/tm_fuzz. *)
 
 open Cmdliner
 
@@ -514,24 +515,10 @@ let udp_echo_cmd =
     Format.printf "%a@." Apps.Udp_echo.pp_result r;
     report_faults h injector;
     report ~metrics ?trace_file h;
-    (* Tri-state loss accounting: a missing echo is either an explicit
-       overload shed, an accounted wire-fault drop, or silent loss —
-       and only silent loss fails.  Faults other than the wire plan
-       cost latency, never datagrams, so without wire faults both
-       accounted legs sit at zero and the gate degenerates to the
-       strict historical "all echoed" check. *)
-    let missing = datagrams - r.Apps.Udp_echo.echoed in
-    if injector <> None || cfg.Rakis.Config.overload then begin
-      let silent =
-        missing - r.Apps.Udp_echo.shed - r.Apps.Udp_echo.wire_dropped
-      in
-      if silent > 0 then begin
-        Format.eprintf
-          "FAIL: %d datagrams missing (%d accounted shed, %d accounted wire \
-           drops) — %d silently lost@."
-          missing r.Apps.Udp_echo.shed r.Apps.Udp_echo.wire_dropped silent;
-        exit 1
-      end
+    if r.Apps.Udp_echo.unaccounted > 0 then begin
+      Format.eprintf "FAIL: %d datagrams silently lost (unaccounted)@."
+        r.Apps.Udp_echo.unaccounted;
+      exit 1
     end
   in
   Cmd.v
@@ -540,8 +527,8 @@ let udp_echo_cmd =
          "Closed-loop UDP echo (paper §1 scenario); the canonical workload \
           for $(b,--metrics)/$(b,--trace), and with $(b,--faults) the \
           recovery smoke test: exits 1 on silent datagram loss — every \
-          missing echo must be covered by the accounted shed counters or \
-          the accounted wire-loss counters, or not happen at all")
+          missing echo must be covered by an accounted loss counter, or \
+          not happen at all")
     Term.(
       const run $ env_arg $ health_config_term $ datagrams $ size $ flows
       $ rdp $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
@@ -646,32 +633,9 @@ let loadgen_cmd =
     Format.printf "%a@." Apps.Loadgen.pp_stats s;
     report_faults h injector;
     report ~metrics ?trace_file h;
-    (* The loadgen's accounting obligation, CLI edition: every offered
-       op must terminate as completed, shed or lost — and losses beyond
-       the accounted server-side sheds are silent loss, a bug in any
-       configuration.  Two client-kernel counters join the server-side
-       books: a timed-out op recycles its socket (see
-       {!Apps.Loadgen.one_op}), so its reply — if one was coming — dies
-       in the host kernel as [udp.no_socket_drops]; a reply burst
-       overrunning the client's socket buffer dies as
-       [udp.buffer_drops].  Both are accounted deaths, not silence.
-       With --rdp the client links' retry-exhaustion give-ups join the
-       accounted side too ([total_accounted_drops] already includes
-       the wire-loss counters). *)
-    let silent =
-      match Libos.Env.runtime h.Apps.Harness.env with
-      | None -> 0
-      | Some rt ->
-          let kstats = Sim.Engine.stats h.Apps.Harness.engine in
-          s.Apps.Loadgen.lost - s.Apps.Loadgen.late
-          - s.Apps.Loadgen.rdp_gave_up
-          - Rakis.Runtime.total_accounted_drops rt
-          - Rakis.Runtime.total_overload_shed rt
-          - Sim.Stats.get kstats "udp.no_socket_drops"
-          - Sim.Stats.get kstats "udp.buffer_drops"
-    in
-    if silent > 0 then begin
-      Format.eprintf "FAIL: %d ops silently lost (unaccounted)@." silent;
+    if s.Apps.Loadgen.unaccounted > 0 then begin
+      Format.eprintf "FAIL: %d ops silently lost (unaccounted)@."
+        s.Apps.Loadgen.unaccounted;
       exit 1
     end
   in
@@ -687,31 +651,10 @@ let loadgen_cmd =
       $ zipf $ flash_at $ flash_conns $ flash_ops $ churn $ seed $ threads
       $ rdp $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 
-let verify_cmd =
-  let depth = Arg.(value & opt int 3 & info [ "depth" ] ~doc:"Schedule depth.") in
-  let run depth =
-    let r = Tm.Model_check.verify ~depth () in
-    Format.printf "%a@." Tm.Model_check.pp_report r;
-    if not (Tm.Model_check.passed r) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "verify" ~doc:"Testing Module: model-check the FastPath Module")
-    Term.(const run $ depth)
-
-let fuzz_cmd =
-  let n = Arg.(value & opt int 200000 & info [ "n" ] ~doc:"Executions.") in
-  let run n =
-    let r = Tm.Fuzz.run ~executions:n () in
-    Format.printf "%a@." Tm.Fuzz.pp_report r;
-    if not (Tm.Fuzz.passed r) then exit 1
-  in
-  Cmd.v (Cmd.info "fuzz" ~doc:"Testing Module: fuzz the UDP/IP stack")
-    Term.(const run $ n)
-
 let () =
   let info =
     Cmd.info "rakis_run" ~version:"1.0"
-      ~doc:"Run the RAKIS reproduction's workloads and testing tools"
+      ~doc:"Run the RAKIS reproduction's workloads"
   in
   exit
     (Cmd.eval
@@ -727,6 +670,4 @@ let () =
             loadgen_cmd;
             fstime_cmd;
             mcrypt_cmd;
-            verify_cmd;
-            fuzz_cmd;
           ]))

@@ -19,3 +19,15 @@ let run ?until t = Sim.Engine.run ?until t.engine
 let stop t = Sim.Engine.stop t.engine
 
 let seconds t = Sim.Cycles.to_sec (Sim.Engine.now t.engine)
+
+let accounted t =
+  let kstats = Sim.Engine.stats t.engine in
+  (match Libos.Env.runtime t.env with
+  | Some rt -> Rakis.Runtime.accounted_losses rt
+  | None -> 0)
+  + Sim.Stats.get kstats "udp.no_socket_drops"
+  + Sim.Stats.get kstats "udp.buffer_drops"
+  + Hostos.Nic.drops (Hostos.Kernel.nic t.kernel 0)
+  + Hostos.Nic.drops (Hostos.Kernel.nic t.kernel 1)
+
+let unaccounted t ~missing = max 0 (missing - accounted t)

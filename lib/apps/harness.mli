@@ -26,3 +26,16 @@ val stop : t -> unit
 
 val seconds : t -> float
 (** Simulated seconds elapsed. *)
+
+(** {1 Loss accounting: the one owner (DESIGN.md §15)} *)
+
+val accounted : t -> int
+(** Every datagram death with a counter, each counted once:
+    {!Rakis.Runtime.accounted_losses} ([0] off RAKIS), the client
+    kernel's [udp.no_socket_drops] and [udp.buffer_drops], and both
+    NICs' queue overflows ({!Hostos.Nic.drops}). *)
+
+val unaccounted : t -> missing:int -> int
+(** [max 0 (missing - accounted t)]: silent loss, which fails every
+    gate.  [missing] is what the client books cannot explain (lost -
+    late - RDP give-ups). *)

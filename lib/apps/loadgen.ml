@@ -20,10 +20,10 @@
    overload controller, only seen when the client API runs on RAKIS) /
    [lost] (no reply within [timeout]).  A reply that arrives after its
    op was declared lost is drained and counted [late] — it reached the
-   client, so it is not silent loss.  The soak harness checks
-   [lost - late] against the server-side accounted-drop counters
-   ({!Rakis.Runtime.total_accounted_drops}): any remainder is an
-   unaccounted datagram, which is a bug.  With [retries > 0] a timed-out
+   client, so it is not silent loss.  [lost - late - rdp_gave_up] is
+   checked against the accounted loss counters
+   ({!Harness.unaccounted}): any remainder is an unaccounted datagram,
+   which is a bug.  With [retries > 0] a timed-out
    op is re-sent (datagram-level accounting then overcounts offered
    traffic by [retried]); soak runs use [retries = 0].
 
@@ -450,6 +450,7 @@ type stats = {
   retried : int;
   rdp_retransmits : int;
   rdp_gave_up : int;
+  unaccounted : int;
   latency : Obs.Metrics.summary;
   duration : Sim.Engine.time;
   goodput_kops : float;
@@ -520,6 +521,8 @@ let run ?(config = default) (h : Harness.t) ~server_threads =
     retried = st.retried;
     rdp_retransmits = st.rdp_retransmits;
     rdp_gave_up = st.rdp_gave_up;
+    unaccounted =
+      Harness.unaccounted h ~missing:(st.lost - st.late - st.rdp_gave_up);
     latency = Obs.Metrics.summary st.hist;
     duration;
     goodput_kops = kops st.completed duration;

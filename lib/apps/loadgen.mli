@@ -9,8 +9,8 @@
     Accounting discipline: every offered op terminates as exactly one
     of [completed] / [shed] (synchronous [EAGAIN]) / [lost] (no reply
     within [timeout]); replies that arrive after their op was declared
-    lost are drained and counted [late].  The soak harness checks
-    [lost - late] against the server-side accounted-drop counters —
+    lost are drained and counted [late].  [unaccounted] checks
+    [lost - late - rdp_gave_up] against the accounted loss counters —
     any remainder is silent loss, which is a bug.  Goodput is tracked
     per phase (baseline / crowd / recovery), with the recovery phase
     split into 100 µs windows so "goodput recovers to >= 95% of
@@ -69,6 +69,10 @@ type stats = {
   rdp_gave_up : int;
       (** datagrams the client links abandoned after retry exhaustion —
           accounted loss, subtracted by the silent-loss checks *)
+  unaccounted : int;
+      (** ops lost beyond [late], [rdp_gave_up] and every accounted loss
+          counter ({!Harness.unaccounted}): silent loss, a bug whenever
+          positive *)
   latency : Obs.Metrics.summary;  (** per-op round trip, cycles *)
   duration : Sim.Engine.time;
   goodput_kops : float;

@@ -2,8 +2,8 @@ type result = {
   env : string;
   datagrams : int;
   echoed : int;
-  shed : int;
-  wire_dropped : int;
+  accounted : int;
+  unaccounted : int;
   flows : int;
   payload_size : int;
   duration : Sim.Engine.time;
@@ -155,24 +155,6 @@ let client_rdp api ~datagrams ~payload_size ~src ~links ~echoed ~first ~last
   Rdp_link.flush ~timeout:reply_timeout link;
   fin ()
 
-(* Server-side accounted refusals: overload sheds (rx-gate and reply
-   EAGAIN) plus every counted drop stream.  What the client failed to
-   hear back minus this is silent loss. *)
-let accounted_sheds (h : Harness.t) =
-  match Libos.Env.runtime h.env with
-  | None -> 0
-  | Some rt ->
-      Rakis.Runtime.total_overload_shed rt
-      + Rakis.Runtime.total_accounted_drops rt
-
-(* Accounted wire-fault losses (drop/truncate/runt/giant on either
-   NIC): the middle leg of the tri-state loss accounting — neither an
-   overload shed nor silent loss. *)
-let wire_losses (h : Harness.t) =
-  match Libos.Env.runtime h.env with
-  | None -> 0
-  | Some rt -> Rakis.Runtime.total_wire_losses rt
-
 let run ?(flows = 1) ?(rdp = false) (h : Harness.t) ~datagrams ~payload_size =
   let echoed = ref 0 and first = ref 0L and last = ref 0L in
   let rtts = Obs.Metrics.histogram (Obs.Metrics.create ()) "udp_echo.rtt" in
@@ -213,17 +195,15 @@ let run ?(flows = 1) ?(rdp = false) (h : Harness.t) ~datagrams ~payload_size =
   let duration = if !echoed = 0 then 0L else Int64.sub !last !first in
   let shards = Shards.capture h in
   Shards.check_exn ~what:"udp_echo" shards;
-  let wire_dropped = wire_losses h in
   let fold f = List.fold_left (fun acc l -> acc + f (Rdp_link.rdp l)) 0 !links in
+  let rdp_gave_up = fold Netstack.Rdp.gave_up in
   {
     env = (Harness.api h).Libos.Api.name;
     datagrams;
     echoed = !echoed;
-    (* [total_accounted_drops] already folds the wire-loss counters in;
-       subtract them back out so [shed] and [wire_dropped] are the two
-       disjoint accounted legs of the tri-state split. *)
-    shed = accounted_sheds h - wire_dropped;
-    wire_dropped;
+    accounted = Harness.accounted h;
+    unaccounted =
+      Harness.unaccounted h ~missing:(datagrams - !echoed - rdp_gave_up);
     flows;
     payload_size;
     duration;
@@ -234,7 +214,7 @@ let run ?(flows = 1) ?(rdp = false) (h : Harness.t) ~datagrams ~payload_size =
     rtt_p99 = Obs.Metrics.percentile rtts 99.;
     rdp;
     rdp_retransmits = fold Netstack.Rdp.retransmits;
-    rdp_gave_up = fold Netstack.Rdp.gave_up;
+    rdp_gave_up;
     shards;
   }
 
@@ -244,9 +224,10 @@ let pp_result ppf r =
      p50<=%d p99<=%d cycles)"
     r.env r.payload_size r.echoed r.datagrams Sim.Cycles.pp_duration r.duration
     r.round_trips_per_sec r.rtt_p50 r.rtt_p99;
-  if r.shed > 0 then Format.fprintf ppf " [%d accounted sheds]" r.shed;
-  if r.wire_dropped > 0 then
-    Format.fprintf ppf " [%d accounted wire drops]" r.wire_dropped;
+  if r.accounted > 0 then
+    Format.fprintf ppf " [%d accounted losses]" r.accounted;
+  if r.unaccounted > 0 then
+    Format.fprintf ppf " [%d silently lost]" r.unaccounted;
   if r.rdp then
     Format.fprintf ppf " [rdp: %d retransmits, %d give-ups]" r.rdp_retransmits
       r.rdp_gave_up;

@@ -13,16 +13,14 @@ type result = {
   env : string;
   datagrams : int;  (** round trips attempted *)
   echoed : int;  (** round trips completed *)
-  shed : int;
-      (** server-side {e accounted} refusals excluding wire faults
-          (overload sheds + non-wire counted drop streams);
-          [datagrams - echoed - shed - wire_dropped > 0] means silent
-          loss.  [0] for non-RAKIS baselines. *)
-  wire_dropped : int;
-      (** accounted wire-fault losses (drop / truncate / runt / giant
-          under a {!Hostos.Nic} link-fault plan) — the middle leg of
-          the tri-state loss split: explicit shed, accounted wire
-          drop, silent loss.  Only the last one is a bug. *)
+  accounted : int;
+      (** datagram deaths with a counter ({!Harness.accounted}); [0] on
+          an honest run.  Per-reason detail is in the Obs registry
+          ([--metrics]). *)
+  unaccounted : int;
+      (** echoes missing beyond [accounted] and the RDP give-ups
+          ({!Harness.unaccounted}): silent loss, a bug whenever
+          positive *)
   flows : int;  (** concurrent closed-loop client flows *)
   payload_size : int;
   duration : Sim.Engine.time;  (** first send to last echo *)
@@ -53,9 +51,8 @@ val run :
 
     Round trips are sequence-tagged and each waits a bounded 2 ms: a
     shed echo costs one timeout, not the flow (stale echoes of
-    given-up round trips are drained, never credited).  Compare
-    [echoed + shed + wire_dropped] against [datagrams] to separate
-    accounted shedding and wire-fault loss from silent loss.
+    given-up round trips are drained, never credited); [unaccounted]
+    is what neither the echoes nor the loss counters explain.
 
     [rdp] (default [false]) runs both ends over {!Netstack.Rdp}
     reliable datagrams: under a lossy wire plan, retransmission

@@ -1002,6 +1002,22 @@ let total_accounted_drops t =
   + total_edge_drops t + total_desc_rejects t + total_ring_check_failures t
   + total_wire_losses t
 
+(* The accounted-loss owner: [total_accounted_drops] plus the overload
+   sheds it does not already hold.  An rx-gate shed is both a
+   controller [shed.data] and a stack [drop.overload-shed]; TX-side
+   EAGAIN and SyncProxy sheds are only the former. *)
+let accounted_losses t =
+  let rx_gate_sheds =
+    Array.fold_left
+      (fun acc sh ->
+        acc
+        + Option.value ~default:0
+            (List.assoc_opt "overload-shed"
+               (Netstack.Stack.drop_reasons sh.sh_stack)))
+      0 t.shards
+  in
+  total_accounted_drops t + total_overload_shed t - rx_gate_sheds
+
 let shard_stack t k = t.shards.(k).sh_stack
 
 let shard_invariant_holds sh =

@@ -174,8 +174,15 @@ val total_wire_losses : t -> int
 val total_accounted_drops : t -> int
 (** Every datagram death that left an accounting trail: netstack drop
     counters (including overload sheds), NIC edge drops, wire-fault
-    losses, and descriptor/ring rejects.  The soak harness requires
-    every client-observed loss to be covered by this total. *)
+    losses, and descriptor/ring rejects.  Loss checks read
+    {!accounted_losses}, which builds on this total. *)
+
+val accounted_losses : t -> int
+(** Every server-side datagram death, each counted once:
+    {!total_accounted_drops} plus the overload sheds the netstack drop
+    counters do not already hold (TX-side [EAGAIN] and SyncProxy sheds;
+    rx-gate sheds are already there as [drop.overload-shed]).  The one
+    server-side leg of {!Apps.Harness.unaccounted}. *)
 
 (** {1 Degraded mode (DESIGN.md §9)} *)
 

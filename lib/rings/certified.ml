@@ -10,12 +10,12 @@ type t = {
   size : int; (* trusted copy, fixed at creation *)
   mutable tprod : int; (* trusted producer *)
   mutable tcons : int; (* trusted consumer *)
+  mutable claimed : bool; (* [tcons] is past the shared consumer word *)
   failures : Obs.Metrics.counter;
   bursts : Obs.Metrics.counter; (* non-empty batch operations *)
   burst_slots : Obs.Metrics.counter; (* slots moved by those batches *)
   trace : Obs.Trace.t option;
-  produce_label : string; (* precomputed: batch trace events are hot-path *)
-  consume_label : string;
+  burst_label : string; (* precomputed: batch trace events are hot-path *)
   on_failure : failure -> unit;
 }
 
@@ -33,12 +33,13 @@ let create layout ~role ?(on_failure = fun _ -> ()) ?(init = 0) ?obs
     size = layout.Layout.size;
     tprod = init;
     tcons = init;
+    claimed = false;
     failures = Obs.Metrics.counter m (name ^ ".failures");
     bursts = Obs.Metrics.counter m (name ^ ".bursts");
     burst_slots = Obs.Metrics.counter m (name ^ ".burst_slots");
     trace = Option.map Obs.trace obs;
-    produce_label = name ^ ".produce";
-    consume_label = name ^ ".consume";
+    burst_label =
+      (name ^ match role with Producer -> ".produce" | Consumer -> ".consume");
     on_failure;
   }
 
@@ -106,9 +107,14 @@ let available t =
   refresh_prod t;
   U32.distance ~ahead:t.tprod ~behind:t.tcons
 
+(* Every store of the owned consumer word, so [claimed] stays exact. *)
+let write_cons t =
+  Layout.write_cons t.layout t.tcons;
+  t.claimed <- false
+
 let release t =
   t.tcons <- U32.succ t.tcons;
-  Layout.write_cons t.layout t.tcons
+  write_cons t
 
 let consume t ~read =
   require Consumer t "consume";
@@ -123,13 +129,13 @@ let skip t =
   require Consumer t "skip";
   if available t > 0 then release t
 
-let count_burst t ~label n =
+let count_burst t n =
   if n > 0 then begin
     Obs.Metrics.incr t.bursts;
     Obs.Metrics.add t.burst_slots n;
     match t.trace with
     | None -> ()
-    | Some tr -> Obs.Trace.instant tr ~cat:"ring" ~arg:n label
+    | Some tr -> Obs.Trace.instant tr ~cat:"ring" ~arg:n t.burst_label
   end
 
 (* Batch accessors: one peer-index refresh (with the same Table 2
@@ -150,23 +156,34 @@ let produce_batch t ~count ~write =
     done;
     t.tprod <- U32.add t.tprod n;
     Layout.write_prod t.layout t.tprod;
-    count_burst t ~label:t.produce_label n;
+    count_burst t n;
     n
   end
 
+(* [read] may suspend the caller while another fiber drains, resyncs
+   or rebases this ring (DESIGN.md §6a): claim each slot before its
+   [read], and go on only while the cursor and window are still ours.
+   Refs rather than a recursive closure keep the loop allocation-free. *)
 let consume_batch t ~max ~read =
   require Consumer t "consume_batch";
   refresh_prod t;
   let n = min max (U32.distance ~ahead:t.tprod ~behind:t.tcons) in
   if n <= 0 then 0
   else begin
-    for i = 0 to n - 1 do
-      read ~slot_off:(Layout.slot_off t.layout (U32.add t.tcons i)) i
+    let i = ref 0 and owned = ref true in
+    while !owned && !i < n do
+      let slot = t.tcons in
+      t.tcons <- U32.succ slot;
+      t.claimed <- true;
+      read ~slot_off:(Layout.slot_off t.layout slot) !i;
+      incr i;
+      owned :=
+        t.tcons = U32.succ slot
+        && U32.distance ~ahead:t.tprod ~behind:t.tcons >= n - !i
     done;
-    t.tcons <- U32.add t.tcons n;
-    Layout.write_cons t.layout t.tcons;
-    count_burst t ~label:t.consume_label n;
-    n
+    if !owned then write_cons t;
+    count_burst t !i;
+    !i
   end
 
 let peek_batch t ~max ~read =
@@ -187,8 +204,8 @@ let commit_batch t count =
     invalid_arg "Certified.commit_batch: count exceeds the validated window";
   if count > 0 then begin
     t.tcons <- U32.add t.tcons count;
-    Layout.write_cons t.layout t.tcons;
-    count_burst t ~label:t.consume_label count
+    write_cons t;
+    count_burst t count
   end
 
 let bursts t = Obs.Metrics.value t.bursts
@@ -210,8 +227,10 @@ let invariant_holds t =
    trusted baseline — provided they once again describe a legal
    window.  This deliberately also adopts the enclave-owned index, whose
    shared word the enclave itself last wrote, so both cursors restart
-   from a mutually consistent snapshot. *)
+   from a mutually consistent snapshot — after publishing any slots a
+   suspended [consume_batch] claimed, lest they be handed out again. *)
 let resync t =
+  if t.claimed then write_cons t;
   let prod = U32.of_int (Layout.read_prod t.layout) in
   let cons = U32.of_int (Layout.read_cons t.layout) in
   let d = U32.distance ~ahead:prod ~behind:cons in
@@ -221,6 +240,19 @@ let resync t =
     Ok ()
   end
   else Error (`Bad_window (prod, cons))
+
+(* Rewrite the shared copy of the enclave-owned index from the trusted
+   copy, without moving it.  Malice can smash any shared word — including
+   the ones the enclave itself owns — and peer-index certification never
+   inspects those: the kernel just clamps the garbage distance to zero
+   and stops seeing the enclave's slots.  Normal operation repairs the
+   word on the next produce/consume, but an idle ring may never get one
+   (the kernel drops arrivals *because* the word is smashed), so the
+   owner must be able to republish explicitly.  Idempotent. *)
+let republish t =
+  match t.role with
+  | Producer -> Layout.write_prod t.layout t.tprod
+  | Consumer -> write_cons t
 
 (* Last-resort recovery for a ring [resync] cannot heal: adopt the
    peer-owned index for BOTH cursors, declaring the ring empty at the
@@ -242,22 +274,7 @@ let rebase t =
   in
   t.tprod <- peer;
   t.tcons <- peer;
-  match t.role with
-  | Producer -> Layout.write_prod t.layout t.tprod
-  | Consumer -> Layout.write_cons t.layout t.tcons
-
-(* Rewrite the shared copy of the enclave-owned index from the trusted
-   copy, without moving it.  Malice can smash any shared word — including
-   the ones the enclave itself owns — and peer-index certification never
-   inspects those: the kernel just clamps the garbage distance to zero
-   and stops seeing the enclave's slots.  Normal operation repairs the
-   word on the next produce/consume, but an idle ring may never get one
-   (the kernel drops arrivals *because* the word is smashed), so the
-   owner must be able to republish explicitly.  Idempotent. *)
-let republish t =
-  match t.role with
-  | Producer -> Layout.write_prod t.layout t.tprod
-  | Consumer -> Layout.write_cons t.layout t.tcons
+  republish t
 
 let pp_failure ppf = function
   | Out_of_window { observed; trusted_prod; trusted_cons } ->

@@ -114,7 +114,16 @@ val consume_batch : t -> max:int -> read:(slot_off:int -> int -> unit) -> int
     release them with a single consumer-index store.  Per-descriptor
     refusal keeps the Table 2 "refuse and advance consumer" semantics:
     the callback refuses internally (counting the reject) and the burst
-    still advances past the slot. *)
+    still advances past the slot.
+
+    [read] may suspend the caller.  Each slot is claimed in the trusted
+    consumer before its [read], so a consumer that runs meanwhile starts
+    past it, and {!resync} publishes the claim before it adopts the
+    shared words.  If the trusted consumer moved while [read] ran (a
+    nested burst, {!rebase}), or the trusted window no longer covers the
+    rest of the burst, the burst stops after that slot and publishes
+    nothing, leaving the newer cursor in charge.  Returns the number of
+    slots read; the burst counters count exactly those. *)
 
 val peek_batch : t -> max:int -> read:(slot_off:int -> int -> bool) -> int
 (** Like {!consume_batch} but nothing is released: [read] returns
@@ -154,7 +163,9 @@ val resync : t -> (unit, [ `Bad_window of int * int ]) result
     after the kernel has republished its indices so the shared words
     reflect kernel truth again.  Accepted only if they describe a legal
     window ([0 <= P - C <= St]); on [`Bad_window (prod, cons)] the
-    trusted copies are unchanged and the caller retries later. *)
+    trusted copies are unchanged and the caller retries later.  Slots a
+    suspended {!consume_batch} has claimed but not yet published are
+    published first, so the resync cannot hand them out again. *)
 
 val rebase : t -> unit
 (** Adopt the {e peer}-owned index for both cursors — declaring the ring

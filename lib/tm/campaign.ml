@@ -960,13 +960,13 @@ let pp_outcome ppf (o : outcome) =
 
    The oracle is accounting, not payload integrity (the regular
    campaigns own Table 2): every offered datagram must end as a
-   completion, a client-visible shed, or a server-side {e accounted}
-   drop — [sk_unaccounted] is the residue and must be 0.  On top of
-   that: control traffic is never shed, the p99 round trip of completed
-   ops stays inside the SLO, and post-crowd goodput recovers to >= 95%
-   of the pre-crowd baseline in some 100 µs window (metastability
-   detector: a system that sheds forever after the crowd leaves never
-   produces such a window). *)
+   completion, a client-visible shed, or an {e accounted} loss
+   ({!Apps.Harness.accounted}) — [sk_unaccounted] is the residue and
+   must be 0.  On top of that: control traffic is never shed, the p99
+   round trip of completed ops stays inside the SLO, and post-crowd
+   goodput recovers to >= 95% of the pre-crowd baseline in some 100 µs
+   window (metastability detector: a system that sheds forever after
+   the crowd leaves never produces such a window). *)
 
 type soak_outcome = {
   sk_seed : int64;
@@ -979,8 +979,8 @@ type soak_outcome = {
   sk_shed : int;  (* overload data-class sheds, every controller *)
   sk_control_shed : int;  (* must be 0 *)
   sk_edge_drops : int;  (* NIC-edge drops while fill was throttled *)
-  sk_accounted : int;  (* total server-side accounted drops *)
-  sk_unaccounted : int;  (* max 0 (lost - late - accounted): must be 0 *)
+  sk_accounted : int;  (* Apps.Harness.accounted *)
+  sk_unaccounted : int;  (* Apps.Harness.unaccounted: must be 0 *)
   sk_latency : Obs.Metrics.summary;
   sk_slo_p99 : int64;
   sk_slo_ok : bool;
@@ -1355,20 +1355,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
         | Some rt -> rt
         | None -> failwith "soak: no runtime"
       in
-      (* Server-side accounted drops.  [total_accounted_drops] already
-         contains the rx-gate sheds (they land in the stack's
-         [drop.overload-shed] counter), so only the TX-side remainder of
-         the overload shed total is added on top — no double count. *)
-      let rx_gate_sheds =
-        List.fold_left
-          (fun acc k ->
-            acc
-            + Option.value ~default:0
-                (List.assoc_opt "overload-shed"
-                   (Netstack.Stack.drop_reasons (Rakis.Runtime.shard_stack rt k))))
-          0
-          (List.init (Rakis.Runtime.shard_count rt) Fun.id)
-      in
       (if debug then
          List.iter
            (fun k ->
@@ -1400,12 +1386,9 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
              if i < 12 then
                Format.eprintf "  tag=%d sent@%Ld lat=%Ld@." tag t0 lat)
            w);
-      let ov_shed = Rakis.Runtime.total_overload_shed rt in
-      let accounted =
-        Rakis.Runtime.total_accounted_drops rt + (ov_shed - rx_gate_sheds)
-      in
       let lost = Hashtbl.length outstanding in
-      let unaccounted = max 0 (lost - !late - accounted) in
+      let accounted = Apps.Harness.accounted h in
+      let unaccounted = Apps.Harness.unaccounted h ~missing:(lost - !late) in
       let latency = Obs.Metrics.summary hist in
       let rate n cycles =
         if Int64.compare cycles 0L <= 0 then 0.
@@ -1438,7 +1421,7 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
         sk_completed = !completed;
         sk_lost = lost;
         sk_late = !late;
-        sk_shed = ov_shed;
+        sk_shed = Rakis.Runtime.total_overload_shed rt;
         sk_control_shed = Rakis.Runtime.total_control_shed rt;
         sk_edge_drops = Rakis.Runtime.total_edge_drops rt;
         sk_accounted = accounted;

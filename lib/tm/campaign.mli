@@ -263,12 +263,12 @@ type soak_outcome = {
   sk_control_shed : int;  (** must be 0: control is never shed *)
   sk_edge_drops : int;  (** NIC-edge drops while fill was throttled *)
   sk_accounted : int;
-      (** all server-side accounted drops: stack drop counters
-          (including rx-gate sheds), NIC edge drops, ring/descriptor
-          rejects, plus TX-side overload sheds *)
+      (** every accounted loss, each counted once
+          ({!Apps.Harness.accounted}) *)
   sk_unaccounted : int;
-      (** [max 0 (lost - late - accounted)] — a non-zero value is a
-          silently lost datagram, which fails the soak *)
+      (** [max 0 (lost - late - accounted)] ({!Apps.Harness.unaccounted})
+          — a non-zero value is a silently lost datagram, which fails
+          the soak *)
   sk_latency : Obs.Metrics.summary;  (** completed-op round trips, cycles *)
   sk_slo_p99 : int64;
   sk_slo_ok : bool;  (** [p99 <= slo_p99] (conservative: p99 is a log2

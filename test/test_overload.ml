@@ -141,6 +141,83 @@ let test_control_never_shed () =
   check "control admissions counted" 100 (O.control_admitted t);
   check "control sheds impossible" 0 (O.control_shed t)
 
+(* {1 One loss owner}
+
+   An rx-gate shed lands in two counters at once: the controller's
+   [shed.data] and the stack's [drop.overload-shed].  Read straight from
+   the Obs registry, those two and the runtime's drop total must show
+   every rx-gate shed added to [accounted_losses] exactly once, and each
+   workload's reported residue must be the harness owner's residue. *)
+
+let sum_suffix rt suffix =
+  List.fold_left
+    (fun acc (name, v) ->
+      if String.ends_with ~suffix name then acc + v else acc)
+    0
+    (Obs.Metrics.counters (Obs.metrics (Rakis.Runtime.obs rt)))
+
+let overload_harness () =
+  match
+    Apps.Harness.make Libos.Env.Rakis_sgx
+      ~rakis_config:
+        {
+          Rakis.Config.default with
+          num_queues = 2;
+          num_xsks = 4;
+          overload = true;
+        }
+      ~nic_queues:4 ()
+  with
+  | Ok h -> h
+  | Error e -> Alcotest.fail e
+
+let runtime (h : Apps.Harness.t) =
+  match Libos.Env.runtime h.env with
+  | Some rt -> rt
+  | None -> Alcotest.fail "no RAKIS runtime"
+
+let test_losses_counted_once () =
+  let h = overload_harness () in
+  let config =
+    {
+      Apps.Loadgen.default with
+      connections = 640;
+      ops = 3000;
+      timeout = 12_000_000L;
+    }
+  in
+  let s = Apps.Loadgen.run ~config h ~server_threads:4 in
+  let rt = runtime h in
+  let rx_gate = sum_suffix rt ".drop.overload-shed" in
+  let shed_data = sum_suffix rt ".shed.data" in
+  check_bool "rx-gate sheds occurred" true (rx_gate > 0);
+  check_bool "every rx-gate shed is a controller shed" true
+    (rx_gate <= shed_data);
+  check "rx-gate sheds counted once"
+    (Rakis.Runtime.total_accounted_drops rt - rx_gate + shed_data)
+    (Rakis.Runtime.accounted_losses rt);
+  let missing =
+    s.Apps.Loadgen.lost - s.Apps.Loadgen.late - s.Apps.Loadgen.rdp_gave_up
+  in
+  check "loadgen residue is the owner's"
+    (Apps.Harness.unaccounted h ~missing)
+    s.Apps.Loadgen.unaccounted;
+  check "no silent loss" 0 s.Apps.Loadgen.unaccounted;
+  let h = overload_harness () in
+  let r = Apps.Udp_echo.run ~flows:64 h ~datagrams:4000 ~payload_size:512 in
+  check "udp_echo accounted is the owner's" (Apps.Harness.accounted h)
+    r.Apps.Udp_echo.accounted;
+  check "udp_echo residue is the owner's"
+    (Apps.Harness.unaccounted h
+       ~missing:
+         (r.Apps.Udp_echo.datagrams - r.Apps.Udp_echo.echoed
+        - r.Apps.Udp_echo.rdp_gave_up))
+    r.Apps.Udp_echo.unaccounted;
+  let o = C.soak ~steps:800 ~queues:2 ~seed:7L () in
+  check "soak residue is the owner's"
+    (max 0 (o.C.sk_lost - o.C.sk_late - o.C.sk_accounted))
+    o.C.sk_unaccounted
+
 (* {1 Accounting identity under random chaos (QCheck)}
 
    The soak composes a flash crowd, a rolling shard-pinned fault plan
@@ -171,5 +248,7 @@ let suite =
       test_edf_slack;
     Alcotest.test_case "overload: control class never shed" `Quick
       test_control_never_shed;
+    Alcotest.test_case "overload: each loss counted once, one residue" `Quick
+      test_losses_counted_once;
     QCheck_alcotest.to_alcotest ~long:false soak_accounting;
   ]

@@ -371,6 +371,105 @@ let test_batch_malice_mid_burst () =
   check "failure recorded" 1 (Certified.failures cons);
   check_bool "invariant" true (Certified.invariant_holds cons)
 
+let test_batch_resync_mid_burst () =
+  (* The failover shape: the burst's [read] suspends, another fiber of
+     the same FM drains the ring and resyncs it (breaker-open reinit),
+     then the burst resumes.  The resumed burst must neither re-read the
+     drained slots nor add its stale count on top of the resynced
+     cursor. *)
+  let l = make_ring ~size:8 () in
+  let cons = Certified.create l ~role:Certified.Consumer () in
+  for v = 1 to 4 do
+    ignore
+      (Raw.produce l ~write:(fun ~slot_off ->
+           write_slot l ~slot_off (Int64.of_int v)))
+  done;
+  let seen = ref [] in
+  let note ~slot_off = seen := read_slot l ~slot_off :: !seen in
+  let nested = ref 0 in
+  let n =
+    Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off i ->
+        note ~slot_off;
+        if i = 0 then begin
+          nested :=
+            Certified.consume_batch cons ~max:8 ~read:(fun ~slot_off _ ->
+                note ~slot_off);
+          match Certified.resync cons with
+          | Ok () -> ()
+          | Error _ -> Alcotest.fail "honest resync refused"
+        end)
+  in
+  check "outer burst stops after its claimed slot" 1 n;
+  check "nested drain takes the rest" 3 !nested;
+  Alcotest.(check (list int64))
+    "every slot read exactly once" [ 1L; 2L; 3L; 4L ] (List.rev !seen);
+  check_bool "invariant" true (Certified.invariant_holds cons);
+  check "trusted consumer at the producer" 4 (Certified.trusted_cons cons);
+  check "no stale publish" 4 (Layout.read_cons l);
+  check "nothing left" 0 (Certified.available cons);
+  check "no failures" 0 (Certified.failures cons);
+  check "each burst counts its own slots" 2 (Certified.bursts cons);
+  check "every slot counted once" 4 (Certified.burst_slots cons)
+
+let test_batch_resync_after_empty_drain () =
+  (* The outer burst took every available slot, so the nested drain
+     finds nothing and publishes nothing; the resync that follows must
+     not re-adopt the shared consumer word from before the claim. *)
+  let l = make_ring ~size:8 () in
+  let cons = Certified.create l ~role:Certified.Consumer () in
+  ignore (Raw.produce l ~write:(fun ~slot_off -> write_slot l ~slot_off 7L));
+  let reads = ref 0 and nested = ref (-1) in
+  let n =
+    Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off:_ _ ->
+        incr reads;
+        nested :=
+          Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off:_ _ ->
+              Alcotest.fail "claimed slot handed out again");
+        match Certified.resync cons with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "honest resync refused")
+  in
+  check "outer burst read its slot" 1 n;
+  check "nested drain found nothing" 0 !nested;
+  check "slot read once" 1 !reads;
+  check "trusted consumer past the slot" 1 (Certified.trusted_cons cons);
+  check "claim published" 1 (Layout.read_cons l);
+  check "not read again" 0
+    (Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off:_ _ ->
+         Alcotest.fail "slot read twice"));
+  check_bool "invariant" true (Certified.invariant_holds cons);
+  check "burst slots" 1 (Certified.burst_slots cons)
+
+let test_batch_rebase_mid_burst () =
+  (* A rebase under the suspended burst that lands the cursor exactly
+     one past the taken slot: only the window check can tell that the
+     rest of the burst is gone. *)
+  let l = make_ring ~size:8 () in
+  let cons = Certified.create l ~role:Certified.Consumer () in
+  for v = 1 to 4 do
+    ignore
+      (Raw.produce l ~write:(fun ~slot_off ->
+           write_slot l ~slot_off (Int64.of_int v)))
+  done;
+  let seen = ref [] in
+  let n =
+    Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off i ->
+        seen := read_slot l ~slot_off :: !seen;
+        if i = 0 then begin
+          (* The kernel republishes its producer at 1: everything past
+             the taken slot is withdrawn. *)
+          Layout.write_prod l 1;
+          Certified.rebase cons
+        end)
+  in
+  check "burst stops at the rebased window" 1 n;
+  Alcotest.(check (list int64)) "only the taken slot read" [ 1L ] !seen;
+  check_bool "invariant" true (Certified.invariant_holds cons);
+  check "trusted consumer at the rebase point" 1 (Certified.trusted_cons cons);
+  check "trusted producer at the rebase point" 1 (Certified.trusted_prod cons);
+  check "no stale publish" 1 (Layout.read_cons l);
+  check "burst slots" 1 (Certified.burst_slots cons)
+
 let test_batch_peek_commit () =
   let l = make_ring ~size:8 () in
   let cons = Certified.create l ~role:Certified.Consumer () in
@@ -657,6 +756,12 @@ let suite =
      test_batch_malice_between_bursts);
     ("certified batch: malice mid-burst", `Quick,
      test_batch_malice_mid_burst);
+    ("certified batch: resync under a suspended burst", `Quick,
+     test_batch_resync_mid_burst);
+    ("certified batch: resync after an empty nested drain", `Quick,
+     test_batch_resync_after_empty_drain);
+    ("certified batch: rebase under a suspended burst", `Quick,
+     test_batch_rebase_mid_burst);
     ("certified batch: peek/commit keeps the tail", `Quick,
      test_batch_peek_commit);
     ("certified batch: totals match single-op path", `Quick,
