@@ -8,10 +8,10 @@
      pairwise / soup attack schedules on both datapaths, and a
      shrinker demonstration.  --budget bounds the total end-to-end
      workload steps (CI smoke uses --budget 2000);
-   - --replay '<datapath>:<seed>:<budget>:<schedule>[:<faults>][:q<n>][:zc]':
-     replay one campaign outcome from its copy-pasteable repro token
-     (5-segment tokens re-run the embedded fault plan bit-for-bit; a
-     trailing "zc" segment boots the zero-copy datapath);
+   - --replay '<kind>:key=value:…': replay one campaign or soak outcome
+     from its copy-pasteable repro token (e.g.
+     'io_uring:seed=19:budget=32:faults=@0.25=short-io:q=2:zc=1' or
+     'soak:seed=42:steps=2000:q=2'; the key table is in docs/cli.md);
    - --faults '<plan>' (with --campaign): additionally run each
      datapath under that host-fault plan alone and composed with an
      attack soup — the Faults.plan syntax of docs/cli.md
@@ -24,16 +24,23 @@
      (CI smoke uses --soak-steps 12000);
    - --wire (with --campaign or --soak): compose the canonical
      lossy-wire plan (5% drop/reorder/dup, 1% truncation — DESIGN.md
-     §16) onto the run; campaign repro tokens and the soak token gain
-     a trailing ":wire" segment. *)
+     §16) onto the run; the repro tokens gain "wire=1".
 
-let total_fired o =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 o.Tm.Campaign.fired
+   Every printed token must parse back to the run's own parameters;
+   a token that does not fails the run. *)
 
-let total_injected o =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 o.Tm.Campaign.injected
+module C = Tm.Campaign
 
-let dp_name = function Tm.Campaign.Xsk -> "xsk" | Tm.Campaign.Iouring -> "io_uring"
+let total counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts
+
+let verdict o = if C.failed o then "FAIL" else "ok"
+
+(* A run's repro token, checked to parse back to the run's own
+   parameters — one that does not would replay a different run. *)
+let checked_token spec =
+  let token = C.repro spec in
+  if C.parse_repro token = Ok spec then Ok token
+  else Error (Printf.sprintf "repro token %S does not parse back to its run" token)
 
 let campaign ~budget ~faults_plan ~queues ~wire =
   Format.printf
@@ -51,17 +58,16 @@ let campaign ~budget ~faults_plan ~queues ~wire =
   (* End-to-end schedules.  The per-run budget splits the global budget
      over the singles (11 + 9 + the 2 zero-copy notif forgeries), a
      pairwise sample and three soups. *)
-  let datapaths = [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ] in
-  let copy_singles = Tm.Campaign.applicable Tm.Campaign.Iouring in
+  let datapaths = [ C.Xsk; C.Iouring ] in
+  let copy_singles = C.applicable C.Iouring in
   let singles =
     List.concat_map
-      (fun dp -> List.map (fun a -> (dp, false, a)) (Tm.Campaign.applicable dp))
+      (fun dp -> List.map (fun a -> (dp, false, a)) (C.applicable dp))
       datapaths
     @ List.filter_map
         (fun a ->
-          if List.mem a copy_singles then None
-          else Some (Tm.Campaign.Iouring, true, a))
-        (Tm.Campaign.applicable ~zerocopy:true Tm.Campaign.Iouring)
+          if List.mem a copy_singles then None else Some (C.Iouring, true, a))
+        (C.applicable ~zerocopy:true C.Iouring)
   in
   let runs =
     List.length singles + 11
@@ -69,90 +75,78 @@ let campaign ~budget ~faults_plan ~queues ~wire =
     + if wire then 2 else 0
   in
   let per_run = max 16 (budget / runs) in
+  let base = { C.default with budget = per_run; queues } in
   let summarize o =
-    if Tm.Campaign.failed o then begin
-      incr failures;
-      Format.printf "%a@.repro: %s@.@." Tm.Campaign.pp_outcome o
-        (Tm.Campaign.repro o)
-    end
+    match checked_token (C.Run o.C.params) with
+    | Error e ->
+        incr failures;
+        Format.printf "%s@." e
+    | Ok token ->
+        if C.failed o then begin
+          incr failures;
+          Format.printf "%a@.repro: %s@.@." C.pp_outcome o token
+        end
+  in
+  let shape_name dp zerocopy =
+    C.datapath_name dp ^ if zerocopy then "+zc" else ""
   in
   List.iter
-    (fun (dp, zerocopy, attack) ->
-      let o =
-        Tm.Campaign.run ~datapath:dp ~seed:21L ~budget:per_run ~queues
-          ~zerocopy
-          [ Tm.Campaign.At { step = per_run / 4; attack } ]
-      in
+    (fun (datapath, zerocopy, attack) ->
+      let schedule = [ C.At { step = per_run / 4; attack } ] in
+      let o = C.run { base with datapath; seed = 21L; zerocopy; schedule } in
       Format.printf "single %-9s %-20s ok=%d refused=%d lost=%d fired=%d %s@."
-        (if zerocopy then dp_name dp ^ "+zc" else dp_name dp)
+        (shape_name datapath zerocopy)
         (Hostos.Malice.attack_name attack)
-        o.Tm.Campaign.ok o.Tm.Campaign.refused o.Tm.Campaign.lost
-        (total_fired o)
-        (if Tm.Campaign.failed o then "FAIL" else "ok");
+        o.C.ok o.C.refused o.C.lost (total o.C.fired) (verdict o);
       summarize o)
     singles;
   (* Pairwise sample: index and descriptor attacks composed. *)
   List.iter
-    (fun dp ->
+    (fun datapath ->
       List.iter
         (fun (a, b) ->
-          let o =
-            Tm.Campaign.run ~datapath:dp ~seed:31L ~budget:per_run ~queues
-              [
-                Tm.Campaign.At { step = per_run / 4; attack = a };
-                Tm.Campaign.At { step = per_run / 2; attack = b };
-              ]
+          let schedule =
+            [
+              C.At { step = per_run / 4; attack = a };
+              C.At { step = per_run / 2; attack = b };
+            ]
           in
-          summarize o)
-        (Tm.Campaign.pairs
-           Hostos.Malice.[ Prod_overshoot; Cons_regress; Oversize_len ]))
+          summarize (C.run { base with datapath; seed = 31L; schedule }))
+        (C.pairs Hostos.Malice.[ Prod_overshoot; Cons_regress; Oversize_len ]))
     datapaths;
   (* Soups — per datapath, plus one over the zero-copy io_uring
      datapath so the notif forgeries land mixed in with everything
      else. *)
-  let soup_shapes =
-    List.map (fun dp -> (dp, false)) datapaths
-    @ [ (Tm.Campaign.Iouring, true) ]
-  in
   List.iter
-    (fun (dp, zerocopy) ->
-      let schedule =
-        Tm.Campaign.soup ~datapath:dp ~zerocopy ~seed:41L ~budget:per_run ()
-      in
-      let o =
-        Tm.Campaign.run ~datapath:dp ~seed:41L ~budget:per_run ~queues
-          ~zerocopy schedule
-      in
+    (fun (datapath, zerocopy) ->
+      let schedule = C.soup ~datapath ~zerocopy ~seed:41L ~budget:per_run () in
+      let o = C.run { base with datapath; seed = 41L; zerocopy; schedule } in
       Format.printf
         "soup   %-9s entries=%d ok=%d refused=%d lost=%d fired=%d %s@."
-        (if zerocopy then dp_name dp ^ "+zc" else dp_name dp)
-        (List.length schedule) o.Tm.Campaign.ok o.Tm.Campaign.refused
-        o.Tm.Campaign.lost (total_fired o)
-        (if Tm.Campaign.failed o then "FAIL" else "ok");
+        (shape_name datapath zerocopy)
+        (List.length schedule) o.C.ok o.C.refused o.C.lost (total o.C.fired)
+        (verdict o);
       summarize o)
-    soup_shapes;
+    (List.map (fun dp -> (dp, false)) datapaths @ [ (C.Iouring, true) ]);
   (* Canonical breaker-failover arc (DESIGN.md §9): a probability-1
      fault burst opens the primitive's breaker, traffic rides the
      exit-based slow path, and the fault-free tail lets it probe and
      fail back.  Asserted, not just reported: a run where the breaker
      never engaged means the degraded-mode machinery is wired out. *)
   List.iter
-    (fun dp ->
-      let plan = Tm.Campaign.failover_plan ~datapath:dp ~budget:per_run in
-      let o =
-        Tm.Campaign.run ~datapath:dp ~seed:81L ~budget:per_run ~queues ~faults:plan []
-      in
+    (fun datapath ->
+      let faults = C.failover_plan ~datapath ~budget:per_run in
+      let o = C.run { base with datapath; seed = 81L; faults } in
       Format.printf
         "failover %-9s opens=%d failovers=%d closes=%d slow=%d \
          watchdog=%d scans=%d %s@."
-        (dp_name dp) o.Tm.Campaign.breaker_opens
-        o.Tm.Campaign.breaker_failovers o.Tm.Campaign.breaker_closes
-        o.Tm.Campaign.slow_calls o.Tm.Campaign.watchdog_restarts
-        o.Tm.Campaign.degraded_scans
-        (if Tm.Campaign.failed o then "FAIL" else "ok");
-      if o.Tm.Campaign.breaker_opens = 0 then begin
+        (C.datapath_name datapath) o.C.breaker_opens o.C.breaker_failovers
+        o.C.breaker_closes o.C.slow_calls o.C.watchdog_restarts
+        o.C.degraded_scans (verdict o);
+      if o.C.breaker_opens = 0 then begin
         incr failures;
-        Format.printf "failover %s: breaker never opened@." (dp_name dp)
+        Format.printf "failover %s: breaker never opened@."
+          (C.datapath_name datapath)
       end;
       summarize o)
     datapaths;
@@ -160,72 +154,49 @@ let campaign ~budget ~faults_plan ~queues ~wire =
      then composed with an attack soup — a lying AND failing host. *)
   if faults_plan <> [] then
     List.iter
-      (fun dp ->
-        let o =
-          Tm.Campaign.run ~datapath:dp ~seed:61L ~budget:per_run ~queues
-            ~faults:faults_plan []
-        in
-        Format.printf
-          "faults %-9s injected=%d ok=%d refused=%d lost=%d %s@."
-          (dp_name dp) (total_injected o) o.Tm.Campaign.ok
-          o.Tm.Campaign.refused o.Tm.Campaign.lost
-          (if Tm.Campaign.failed o then "FAIL" else "ok");
+      (fun datapath ->
+        let faults = faults_plan in
+        let o = C.run { base with datapath; seed = 61L; faults } in
+        Format.printf "faults %-9s injected=%d ok=%d refused=%d lost=%d %s@."
+          (C.datapath_name datapath) (total o.C.injected) o.C.ok o.C.refused
+          o.C.lost (verdict o);
         summarize o;
-        let schedule =
-          Tm.Campaign.soup ~datapath:dp ~seed:71L ~budget:per_run ()
-        in
-        let o =
-          Tm.Campaign.run ~datapath:dp ~seed:71L ~budget:per_run ~queues
-            ~faults:faults_plan schedule
-        in
+        let schedule = C.soup ~datapath ~seed:71L ~budget:per_run () in
+        let o = C.run { base with datapath; seed = 71L; faults; schedule } in
         Format.printf
           "faults+soup %-9s entries=%d injected=%d ok=%d refused=%d \
            lost=%d fired=%d %s@."
-          (dp_name dp)
-          (List.length schedule) (total_injected o) o.Tm.Campaign.ok
-          o.Tm.Campaign.refused o.Tm.Campaign.lost (total_fired o)
-          (if Tm.Campaign.failed o then "FAIL" else "ok");
+          (C.datapath_name datapath) (List.length schedule)
+          (total o.C.injected) o.C.ok o.C.refused o.C.lost (total o.C.fired)
+          (verdict o);
         summarize o)
       datapaths;
   (* Hostile-wire weather (DESIGN.md §16): the canonical lossy plan —
      5% drop/reorder/dup, 1% truncation — on the XSK datapath (the
      wire faults live on the NIC link, which only XSK traffic rides),
      alone and composed with an attack soup.  Loss is availability
-     weather: the run must stay violation-free, the injector must have
-     actually fired, and the repro token must carry the ":wire"
-     segment so the weather replays. *)
+     weather: the run must stay violation-free and the injector must
+     have actually fired. *)
   if wire then begin
     let check_wire label o =
       Format.printf "%s %-9s ok=%d refused=%d lost=%d injected=%d %s@." label
-        "xsk" o.Tm.Campaign.ok o.Tm.Campaign.refused o.Tm.Campaign.lost
-        (total_injected o)
-        (if Tm.Campaign.failed o then "FAIL" else "ok");
-      if total_injected o = 0 then begin
+        "xsk" o.C.ok o.C.refused o.C.lost (total o.C.injected) (verdict o);
+      if total o.C.injected = 0 then begin
         incr failures;
         Format.printf "%s: the lossy-wire plan never injected a fault@." label
       end;
-      if not (Filename.check_suffix (Tm.Campaign.repro o) ":wire") then begin
-        incr failures;
-        Format.printf "%s: repro token %S lacks the :wire segment@." label
-          (Tm.Campaign.repro o)
-      end;
       summarize o
     in
-    check_wire "wire  "
-      (Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:101L ~budget:per_run
-         ~queues ~wire:true []);
-    let schedule =
-      Tm.Campaign.soup ~datapath:Tm.Campaign.Xsk ~seed:103L ~budget:per_run ()
-    in
+    check_wire "wire  " (C.run { base with seed = 101L; wire = true });
+    let schedule = C.soup ~datapath:C.Xsk ~seed:103L ~budget:per_run () in
     check_wire "wire+soup"
-      (Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:103L ~budget:per_run
-         ~queues ~wire:true schedule)
+      (C.run { base with seed = 103L; wire = true; schedule })
   end;
   (* Shard containment (DESIGN.md §10): a persistent wakeup-drop pinned
      to shard 1 may only ever open shard 1's breaker — breaker activity
      on any other shard means the blast radius leaked across shards. *)
   if queues > 1 then begin
-    let plan =
+    let faults =
       [
         {
           Hostos.Faults.fault = Hostos.Faults.Drop_wakeup;
@@ -234,19 +205,14 @@ let campaign ~budget ~faults_plan ~queues ~wire =
         };
       ]
     in
-    let o =
-      Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:91L ~budget:per_run
-        ~queues ~faults:plan []
-    in
+    let o = C.run { base with seed = 91L; faults } in
     let leaked =
-      List.exists
-        (fun (k, opens) -> k <> 1 && opens > 0)
-        (List.mapi (fun k opens -> (k, opens)) o.Tm.Campaign.shard_opens)
+      List.exists (( < ) 0) (List.filteri (fun k _ -> k <> 1) o.C.shard_opens)
     in
     Format.printf "containment xsk shard-1 fault: opens=[%s] lost=%d %s@."
-      (String.concat ";" (List.map string_of_int o.Tm.Campaign.shard_opens))
-      o.Tm.Campaign.lost
-      (if leaked || Tm.Campaign.failed o then "FAIL" else "ok");
+      (String.concat ";" (List.map string_of_int o.C.shard_opens))
+      o.C.lost
+      (if leaked || C.failed o then "FAIL" else "ok");
     if leaked then begin
       incr failures;
       Format.printf "containment: shard-1 fault opened another shard's \
@@ -275,27 +241,36 @@ let campaign ~budget ~faults_plan ~queues ~wire =
   end
   else Format.printf "@.campaign passed@."
 
-let soak ~steps ~queues ~seed ~slo_p99 ~wire =
+(* Soak output: the outcome, then the verdict — also a token that does
+   not parse back to its own parameters fails the soak. *)
+let soak_verdict o =
+  Format.printf "%a@." C.pp_soak_outcome o;
+  match checked_token (C.Soak o.C.sk_params) with
+  | Error e ->
+      Format.printf "@.%s@.soak FAILED@." e;
+      exit 1
+  | Ok _ when C.soak_failed o ->
+      Format.printf "@.soak FAILED@.";
+      exit 1
+  | Ok _ -> Format.printf "@.soak passed@."
+
+let soak (p : C.soak_params) =
   Format.printf
     "RAKIS Testing Module: overload chaos soak (steps %d, queues %d%s)@.@."
-    steps queues
-    (if wire then ", lossy wire" else "");
-  let o = Tm.Campaign.soak ~steps ~queues ~seed ?slo_p99 ~wire () in
-  Format.printf "%a@." Tm.Campaign.pp_soak_outcome o;
-  if Tm.Campaign.soak_failed o then begin
-    Format.printf "@.soak FAILED@.";
-    exit 1
-  end
-  else Format.printf "@.soak passed@."
+    p.sk_steps p.sk_queues
+    (if p.sk_wire then ", lossy wire" else "");
+  soak_verdict (C.soak p)
 
 let replay token =
-  match Tm.Campaign.run_repro token with
+  match C.parse_repro token with
   | Error e ->
       Format.eprintf "bad repro token: %s@." e;
       exit 2
-  | Ok o ->
-      Format.printf "%a@." Tm.Campaign.pp_outcome o;
-      if Tm.Campaign.failed o then exit 1
+  | Ok (C.Soak p) -> soak_verdict (C.soak p)
+  | Ok (C.Run p) ->
+      let o = C.run p in
+      Format.printf "%a@." C.pp_outcome o;
+      if C.failed o then exit 1
 
 let exhaustive ~depth ~queues ~min_states ~max_states ~mutant =
   let mutant =
@@ -350,7 +325,7 @@ let exhaustive ~depth ~queues ~min_states ~max_states ~mutant =
       Format.printf "@.exploration passed@."
 
 let () =
-  (* -1 = unset: the model check defaults to 3, --exhaustive to 6 *)
+  (* -1 = unset: the model check defaults to 3, --exhaustive to 5 *)
   let depth = ref (-1)
   and ring_size = ref 4
   and budget = ref 2000
@@ -361,14 +336,17 @@ let () =
   and max_states = ref 250_000
   and mutant = ref ""
   and token = ref ""
-  and soak_steps = ref 100_000
-  and seed = ref 0x50AD5EEDL
-  and slo_p99 = ref (-1)
+  and soak_steps = ref C.default_soak.sk_steps
+  and seed = ref C.default_soak.sk_seed
+  and slo_p99 = ref C.default_soak.sk_slo_p99
   and wire = ref false in
   let spec =
     [
-      ("-depth", Arg.Set_int depth, "schedule depth (default 3)");
-      ("-ring-size", Arg.Set_int ring_size, "ring slots (default 4)");
+      ( "--depth",
+        Arg.Set_int depth,
+        "schedule depth for the model check (default 3), transition-sequence \
+         bound for --exhaustive (default 5)" );
+      ("--ring-size", Arg.Set_int ring_size, "model-check ring slots (default 4)");
       ( "--campaign",
         Arg.Unit (fun () -> mode := `Campaign),
         "run the adversarial campaign instead of the model check" );
@@ -377,8 +355,9 @@ let () =
         "campaign end-to-end step budget (default 2000)" );
       ( "--queues",
         Arg.Set_int queues,
-        "datapath shards for the campaign workloads (default 1); > 1 \
-         additionally runs the shard-containment check" );
+        "datapath shards for the campaign workloads (default 1; > 1 \
+         additionally runs the shard-containment check), for --soak (at \
+         least 2) and for --exhaustive" );
       ( "--faults",
         Arg.Set_string faults_spec,
         "host-fault plan for the campaign (';'-separated, e.g. \
@@ -388,15 +367,12 @@ let () =
           (fun s ->
             mode := `Replay;
             token := s),
-        "replay one campaign repro token" );
+        "replay one campaign or soak repro token" );
       ( "--exhaustive",
         Arg.Unit (fun () -> mode := `Exhaustive),
         "exhaustive bounded exploration of the FM product machine \
          (ring x UMem x breaker x faults x shard); use with --depth, \
          --queues, --min-states" );
-      ( "--depth",
-        Arg.Set_int depth,
-        "transition-sequence bound for --exhaustive (default 5)" );
       ( "--min-states",
         Arg.Set_int min_states,
         "fail --exhaustive below this many distinct states — the CI \
@@ -417,14 +393,14 @@ let () =
         Arg.String (fun s -> seed := Int64.of_string s),
         "seed for --soak (default 0x50AD5EED)" );
       ( "--slo-p99",
-        Arg.Set_int slo_p99,
+        Arg.String (fun s -> slo_p99 := Int64.of_string s),
         "p99 SLO for --soak in cycles (default Config.default.slo_p99, \
          1 ms at 2.4 GHz)" );
       ( "--wire",
         Arg.Set wire,
         "compose the canonical lossy-wire plan (5% drop/reorder/dup, 1% \
          trunc) onto --campaign (extra XSK wire-weather runs) or --soak \
-         (the whole soak rides the hostile wire; token gains ':wire')" );
+         (the whole soak rides the hostile wire; token gains 'wire=1')" );
       ( "--mutant",
         Arg.Set_string mutant,
         "run --exhaustive against a known-bad driver mutation and require \
@@ -434,9 +410,13 @@ let () =
   in
   Arg.parse spec
     (fun _ -> ())
-    "tm_verify [-depth N] [-ring-size N] [--campaign] [--budget N] [--queues \
-     N] [--faults PLAN] [--wire] [--replay TOKEN] [--exhaustive [--depth N] \
-     [--min-states N] [--mutant M]]";
+    "tm_verify [--depth N] [--ring-size N]\n\
+    \       tm_verify --campaign [--budget N] [--queues N] [--faults PLAN] [--wire]\n\
+    \       tm_verify --soak [--soak-steps N] [--queues N] [--seed N] [--slo-p99 \
+     CYCLES] [--wire]\n\
+    \       tm_verify --replay TOKEN\n\
+    \       tm_verify --exhaustive [--depth N] [--queues N] [--min-states N] \
+     [--max-states N] [--mutant M]";
   match !mode with
   | `Campaign -> (
       match Hostos.Faults.plan_of_string !faults_spec with
@@ -447,10 +427,14 @@ let () =
           campaign ~budget:!budget ~faults_plan ~queues:!queues ~wire:!wire)
   | `Replay -> replay !token
   | `Soak ->
-      let queues = if !queues < 2 then 2 else !queues in
-      soak ~steps:!soak_steps ~queues ~seed:!seed
-        ~slo_p99:(if !slo_p99 < 0 then None else Some (Int64.of_int !slo_p99))
-        ~wire:!wire
+      soak
+        {
+          sk_seed = !seed;
+          sk_steps = !soak_steps;
+          sk_queues = max 2 !queues;
+          sk_slo_p99 = !slo_p99;
+          sk_wire = !wire;
+        }
   | `Exhaustive ->
       let depth = if !depth < 0 then 5 else !depth in
       exhaustive ~depth ~queues:!queues ~min_states:!min_states

@@ -12,8 +12,8 @@
      SyncProxy / io_uring FM.
 
    Everything is seeded, so any outcome — in particular any violation —
-   replays exactly from its [(seed, schedule)] pair; {!repro} prints the
-   pair as a copy-pasteable string and {!run_repro} replays it.
+   replays exactly from its {!params}; {!repro} prints them as a
+   copy-pasteable token and {!parse_repro} reads them back.
 
    What counts as a violation is exactly the paper's Table 2 contract:
    the enclave must never act on corrupted control data (wrong payload
@@ -39,12 +39,50 @@ type schedule = entry list
 
 type violation = { at_step : int; what : string }
 
-type outcome = {
+type params = {
   datapath : datapath;
   seed : int64;
   budget : int;
-  queues : int;  (* datapath shards the machine booted with *)
+  queues : int;  (* datapath shards the machine boots with *)
   schedule : schedule;
+  faults : Hostos.Faults.plan;
+  zerocopy : bool;  (* boot the zero-copy datapath *)
+  overload : bool;  (* boot with overload control (§15) *)
+  wire : bool;  (* compose the canonical lossy-wire plan onto [faults] *)
+}
+
+let default =
+  {
+    datapath = Xsk;
+    seed = 0L;
+    budget = 64;
+    queues = 1;
+    schedule = [];
+    faults = [];
+    zerocopy = false;
+    overload = false;
+    wire = false;
+  }
+
+type soak_params = {
+  sk_seed : int64;
+  sk_steps : int;
+  sk_queues : int;
+  sk_slo_p99 : int64;
+  sk_wire : bool;  (* canonical lossy-wire plan composed on the rolling faults *)
+}
+
+let default_soak =
+  {
+    sk_seed = 0x50AD5EEDL;
+    sk_steps = 100_000;
+    sk_queues = 2;
+    sk_slo_p99 = Rakis.Config.default.Rakis.Config.slo_p99;
+    sk_wire = false;
+  }
+
+type outcome = {
+  params : params;
   steps_run : int;
   ok : int;  (* operations that completed and verified against the model *)
   late_ok : int;  (* verified operations in the last quarter (recovery) *)
@@ -52,7 +90,6 @@ type outcome = {
   lost : int;  (* timeouts / drops: availability, not integrity *)
   tolerated : int;  (* payload mismatches while Corrupt_packet was live *)
   fired : (Hostos.Malice.attack * int) list;
-  fault_plan : Hostos.Faults.plan;
   injected : (Hostos.Faults.fault * int) list;
   ring_rejects : int;
   desc_rejects : int;
@@ -64,19 +101,14 @@ type outcome = {
   breaker_closes : int;
   shard_opens : int list;  (* per-shard XSK breaker trips, shard order *)
   slow_calls : int;  (* ops completed via the exit-based slow path *)
-  zerocopy : bool;  (* machine booted with the zero-copy datapath *)
   zc_sends : int;  (* SEND_ZC frames lent to the kernel *)
   zc_fallbacks : int;  (* zc ops degraded to the copy path *)
   zc_notif_rejects : int;  (* forged-early + stray/duplicate notifs refused *)
   zc_leaks : int;  (* frames the host held hostage by withholding notifs *)
-  overload : bool;  (* machine booted with overload control (§15) *)
   ov_admitted : int;  (* admissions across every overload controller *)
   ov_shed : int;  (* accounted data-class sheds *)
   ov_control_shed : int;  (* must stay 0: Control is never shed *)
   ov_edge_drops : int;  (* NIC-edge drops while fill was throttled *)
-  wire : bool;
-      (* the canonical lossy-wire plan ({!wire_plan}) was composed on
-         top of [fault_plan]; token segment [":wire"] *)
   violations : violation list;
   trace_tail : string list;
       (* rendered tail of the runtime's trace ring, captured only on
@@ -266,6 +298,18 @@ let mk_tcp_msg step =
 
 let tcp_port = 9212
 
+let read_back candidates ~off buf n =
+  let error (image, high) =
+    let expected = max 0 (min (Bytes.length buf) (high - off)) in
+    if n <> expected then
+      Some (Printf.sprintf "file read length %d, expected %d" n expected)
+    else if Bytes.sub buf 0 n = Bytes.sub image off n then None
+    else Some "file read-back mismatch"
+  in
+  match List.find_opt (fun c -> error c = None) candidates with
+  | Some c -> Ok c
+  | None -> Error (Option.get (error (List.hd candidates)))
+
 let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
   (* Native peer: TCP echo server with an accept loop (the enclave
      reconnects after any refused stream operation). *)
@@ -296,10 +340,11 @@ let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
   Sim.Engine.spawn h.engine (fun () ->
       Sim.Engine.delay (Sim.Cycles.of_us 50.);
       let api = Apps.Harness.api h in
-      (* Golden in-enclave file model: EPERM means the kernel *did*
-         execute the operation (only the completion was refused), so
-         the model applies the write; EAGAIN means it never reached the
-         ring. *)
+      (* Golden in-enclave file model.  EAGAIN means the write never
+         reached the ring.  EPERM means the FM refused the completion,
+         which says nothing about what the host did: the model applies
+         the write but keeps the unwritten state as a second candidate,
+         and the read-back decides ({!read_back}). *)
       let model = Bytes.make (n_slots * block_size) '\000' in
       let high = ref 0 in
       let fd =
@@ -324,19 +369,19 @@ let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
         let slot = step mod n_slots in
         let off = slot * block_size in
         let data = mk_block step in
-        let apply_model () =
-          Bytes.blit data 0 model off block_size;
-          high := max !high (off + block_size)
+        let apply_model n =
+          Bytes.blit data 0 model off n;
+          high := max !high (off + n)
         in
+        let unwritten = ref [] in
         (match api.Libos.Api.lseek fd off with Ok _ -> () | Error _ -> ());
         (match api.Libos.Api.write fd data 0 block_size with
-        | Ok n when n > 0 ->
-            Bytes.blit data 0 model off n;
-            high := max !high (off + n)
+        | Ok n when n > 0 -> apply_model n
         | Ok _ -> st.refused <- st.refused + 1
         | Error Abi.Errno.EPERM ->
             st.refused <- st.refused + 1;
-            apply_model ()
+            unwritten := [ (Bytes.copy model, !high) ];
+            apply_model block_size
         | Error _ -> st.refused <- st.refused + 1);
         match api.Libos.Api.lseek fd off with
         | Error _ -> st.refused <- st.refused + 1
@@ -344,15 +389,15 @@ let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
             let buf = Bytes.create block_size in
             match api.Libos.Api.read fd buf 0 block_size with
             | Error _ -> st.refused <- st.refused + 1
-            | Ok n ->
-                let expected = max 0 (min block_size (!high - off)) in
-                if n <> expected then
-                  mismatch st ~step
-                    (Printf.sprintf "file read length %d, expected %d" n
-                       expected)
-                else if Bytes.sub buf 0 n = Bytes.sub model off n then
-                  good st ~step
-                else mismatch st ~step "file read-back mismatch")
+            | Ok n -> (
+                match read_back ((model, !high) :: !unwritten) ~off buf n with
+                | Ok (image, h) ->
+                    if image != model then begin
+                      Bytes.blit image 0 model 0 (Bytes.length model);
+                      high := h
+                    end;
+                    good st ~step
+                | Error what -> mismatch st ~step what))
       in
       let tcp_step step =
         if !tcp = None then tcp_connect ();
@@ -435,8 +480,9 @@ let wire_plan =
     p Hostos.Faults.Wire_trunc 0.01;
   ]
 
-let run ~datapath ~seed ?(budget = 64) ?(queues = 1) ?(faults = [])
-    ?(zerocopy = false) ?(overload = false) ?(wire = false) schedule =
+let run
+    ({ datapath; seed; budget; queues; schedule; faults; zerocopy; overload; wire }
+     as p) =
   match
     Apps.Harness.make Libos.Env.Rakis_sgx
       ~rakis_config:
@@ -445,10 +491,15 @@ let run ~datapath ~seed ?(budget = 64) ?(queues = 1) ?(faults = [])
   with
   | Error e -> failwith ("campaign: harness boot failed: " ^ e)
   | Ok h ->
+      let rt =
+        match Libos.Env.runtime h.env with
+        | Some rt -> rt
+        | None -> failwith "campaign: no runtime"
+      in
       (* Share the runtime's registry/trace so campaign reports and the
          live [malice.*] metrics read the same counters. *)
-      let obs = Option.map Rakis.Runtime.obs (Libos.Env.runtime h.env) in
-      let malice = Hostos.Malice.create ?obs ~seed () in
+      let obs = Rakis.Runtime.obs rt in
+      let malice = Hostos.Malice.create ~obs ~seed () in
       install_schedule malice schedule;
       Hostos.Kernel.set_malice h.kernel (Some malice);
       (* The fault injector rides the same seed (xored so its RNG stream
@@ -459,13 +510,11 @@ let run ~datapath ~seed ?(budget = 64) ?(queues = 1) ?(faults = [])
         if effective_faults = [] then None
         else begin
           let f =
-            Hostos.Faults.create ?obs ~seed:(Int64.logxor seed 0x5EEDL) ()
+            Hostos.Faults.create ~obs ~seed:(Int64.logxor seed 0x5EEDL) ()
           in
           Hostos.Faults.install_plan f effective_faults;
           Hostos.Kernel.set_faults h.kernel (Some f);
-          (match Libos.Env.runtime h.env with
-          | Some rt -> Rakis.Runtime.start_watchdog rt
-          | None -> ());
+          Rakis.Runtime.start_watchdog rt;
           Some f
         end
       in
@@ -500,77 +549,18 @@ let run ~datapath ~seed ?(budget = 64) ?(queues = 1) ?(faults = [])
            it would otherwise hide violations in the unexecuted tail. *)
         violate st ~step:st.steps_run
           (Printf.sprintf "stalled after %d/%d steps" st.steps_run budget);
-      let ring_rejects, desc_rejects, invariant_ok =
-        match Libos.Env.runtime h.env with
-        | Some rt ->
-            ( Rakis.Runtime.total_ring_check_failures rt,
-              Rakis.Runtime.total_desc_rejects rt,
-              Rakis.Runtime.invariant_holds rt )
-        | None -> (0, 0, false)
+      let shards =
+        List.init (Rakis.Runtime.shard_count rt) (Rakis.Runtime.shard_breaker rt)
       in
-      let ( wd_restarts,
-            degraded_scans,
-            b_opens,
-            b_failovers,
-            b_closes,
-            shard_opens,
-            slow_calls ) =
-        match Libos.Env.runtime h.env with
-        | None -> (0, 0, 0, 0, 0, [], 0)
-        | Some rt ->
-            let shards =
-              List.init (Rakis.Runtime.shard_count rt)
-                (Rakis.Runtime.shard_breaker rt)
-            in
-            let sum f =
-              List.fold_left (fun acc b -> acc + f b) 0 shards
-              + f (Rakis.Runtime.uring_breaker rt)
-              + f (Rakis.Runtime.mm_breaker rt)
-            in
-            ( Rakis.Runtime.watchdog_restarts rt,
-              Rakis.Runtime.watchdog_degraded_scans rt,
-              sum Rakis.Health.opens,
-              sum Rakis.Health.failovers,
-              sum Rakis.Health.closes,
-              List.map Rakis.Health.opens shards,
-              Obs.Metrics.get_counter
-                (Obs.metrics (Rakis.Runtime.obs rt))
-                "health.slow_calls" )
+      let sum f =
+        List.fold_left (fun acc b -> acc + f b) 0
+          (Rakis.Runtime.uring_breaker rt :: Rakis.Runtime.mm_breaker rt :: shards)
       in
-      let zc_sends, zc_fallbacks, zc_notif_rejects, zc_leaks =
-        match Libos.Env.runtime h.env with
-        | Some rt ->
-            ( Rakis.Runtime.total_zc_sends rt,
-              Rakis.Runtime.total_zc_fallbacks rt,
-              Rakis.Runtime.total_zc_notif_rejects rt,
-              Rakis.Runtime.total_zc_leaks rt )
-        | None -> (0, 0, 0, 0)
-      in
-      let ov_admitted, ov_shed, ov_control_shed, ov_edge_drops =
-        match Libos.Env.runtime h.env with
-        | Some rt when overload ->
-            ( Rakis.Runtime.total_overload_admitted rt,
-              Rakis.Runtime.total_overload_shed rt,
-              Rakis.Runtime.total_control_shed rt,
-              Rakis.Runtime.total_edge_drops rt )
-        | _ -> (0, 0, 0, 0)
-      in
-      let trace_tail =
-        if st.violations = [] && invariant_ok && zc_leaks = 0 then []
-        else
-          match Libos.Env.runtime h.env with
-          | None -> []
-          | Some rt ->
-              List.map
-                (Format.asprintf "%a" Obs.Trace.pp_event)
-                (Obs.Trace.last (Obs.trace (Rakis.Runtime.obs rt)) 24)
-      in
+      let when_overload total = if overload then total rt else 0 in
+      let invariant_ok = Rakis.Runtime.invariant_holds rt in
+      let zc_leaks = Rakis.Runtime.total_zc_leaks rt in
       {
-        datapath;
-        seed;
-        budget;
-        queues;
-        schedule;
+        params = p;
         steps_run = st.steps_run;
         ok = st.ok;
         late_ok = st.late_ok;
@@ -578,34 +568,36 @@ let run ~datapath ~seed ?(budget = 64) ?(queues = 1) ?(faults = [])
         lost = st.lost;
         tolerated = st.tolerated;
         fired = Hostos.Malice.fired_counts malice;
-        fault_plan = faults;
         injected =
           (match injector with
           | Some f -> Hostos.Faults.injected_counts f
           | None -> []);
-        ring_rejects;
-        desc_rejects;
+        ring_rejects = Rakis.Runtime.total_ring_check_failures rt;
+        desc_rejects = Rakis.Runtime.total_desc_rejects rt;
         invariant_ok;
-        watchdog_restarts = wd_restarts;
-        degraded_scans;
-        breaker_opens = b_opens;
-        breaker_failovers = b_failovers;
-        breaker_closes = b_closes;
-        shard_opens;
-        slow_calls;
-        zerocopy;
-        zc_sends;
-        zc_fallbacks;
-        zc_notif_rejects;
+        watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
+        degraded_scans = Rakis.Runtime.watchdog_degraded_scans rt;
+        breaker_opens = sum Rakis.Health.opens;
+        breaker_failovers = sum Rakis.Health.failovers;
+        breaker_closes = sum Rakis.Health.closes;
+        shard_opens = List.map Rakis.Health.opens shards;
+        slow_calls = Obs.Metrics.get_counter (Obs.metrics obs) "health.slow_calls";
+        zc_sends = Rakis.Runtime.total_zc_sends rt;
+        zc_fallbacks = Rakis.Runtime.total_zc_fallbacks rt;
+        zc_notif_rejects = Rakis.Runtime.total_zc_notif_rejects rt;
         zc_leaks;
-        overload;
-        ov_admitted;
-        ov_shed;
-        ov_control_shed;
-        ov_edge_drops;
-        wire;
+        ov_admitted = when_overload Rakis.Runtime.total_overload_admitted;
+        ov_shed = when_overload Rakis.Runtime.total_overload_shed;
+        ov_control_shed = when_overload Rakis.Runtime.total_control_shed;
+        ov_edge_drops = when_overload Rakis.Runtime.total_edge_drops;
         violations = List.rev st.violations;
-        trace_tail;
+        trace_tail =
+          (* captured only on failure: the events leading up to it *)
+          (if st.violations = [] && invariant_ok && zc_leaks = 0 then []
+           else
+             List.map
+               (Format.asprintf "%a" Obs.Trace.pp_event)
+               (Obs.Trace.last (Obs.trace obs) 24));
       }
 
 (* [zc_leaks > 0] at teardown is the dropped-notif availability attack
@@ -694,7 +686,7 @@ let failover_plan ~datapath ~budget =
     };
   ]
 
-(* {1 Repro strings} *)
+(* {1 Schedule syntax} *)
 
 let entry_to_string = function
   | At { step; attack } ->
@@ -703,29 +695,7 @@ let entry_to_string = function
       Printf.sprintf "%d..%d@%g=%s" first last probability
         (Hostos.Malice.attack_name attack)
 
-let repro (o : outcome) =
-  let base =
-    Printf.sprintf "%s:%Ld:%d:%s" (datapath_name o.datapath) o.seed o.budget
-      (String.concat ";" (List.map entry_to_string o.schedule))
-  in
-  (* Fault-free single-queue tokens keep the historical 4-segment
-     shape; a fifth segment carries the fault plan so replay is
-     bit-for-bit, and multi-queue runs append a sixth ["q<n>"] segment
-     (with an empty fifth when fault-free) for the shard count.
-     Zero-copy runs append a ["zc"] segment after whatever shape
-     precedes it, and overload-control runs one final ["ov"] segment
-     after that. *)
-  let token =
-    if o.queues > 1 then
-      Printf.sprintf "%s:%s:q%d" base
-        (Hostos.Faults.plan_to_string o.fault_plan)
-        o.queues
-    else if o.fault_plan = [] then base
-    else base ^ ":" ^ Hostos.Faults.plan_to_string o.fault_plan
-  in
-  let token = if o.zerocopy then token ^ ":zc" else token in
-  let token = if o.overload then token ^ ":ov" else token in
-  if o.wire then token ^ ":wire" else token
+let schedule_to_string s = String.concat ";" (List.map entry_to_string s)
 
 let parse_entry s =
   match String.index_opt s '=' with
@@ -750,102 +720,149 @@ let parse_entry s =
                   Ok (During { first; last; probability; attack })
               | None -> Error (Printf.sprintf "bad burst %S" where))))
 
-let parse_repro s =
-  let parse dp seed budget entries fault_part queues zerocopy overload wire =
-    let datapath =
-      match dp with
-      | "xsk" -> Some Xsk
-      | "io_uring" -> Some Iouring
-      | _ -> None
-    in
-    match (datapath, Int64.of_string_opt seed, int_of_string_opt budget) with
-    | Some datapath, Some seed, Some budget -> (
-        let parts =
-          if entries = "" then [] else String.split_on_char ';' entries
-        in
-        let rec collect acc = function
-          | [] -> Ok (List.rev acc)
-          | p :: rest -> (
-              match parse_entry p with
-              | Ok e -> collect (e :: acc) rest
-              | Error _ as e -> e)
-        in
-        match (collect [] parts, Hostos.Faults.plan_of_string fault_part) with
-        | Ok schedule, Ok faults ->
-            Ok
-              ( datapath,
-                seed,
-                budget,
-                schedule,
-                faults,
-                queues,
-                zerocopy,
-                overload,
-                wire )
-        | (Error _ as e), _ -> e
-        | _, Error e -> Error e)
-    | _ -> Error (Printf.sprintf "bad repro header in %S" s)
+let schedule_of_string s =
+  let rec collect acc = function
+    | [] -> Ok (List.rev acc)
+    | p :: rest -> (
+        match parse_entry p with
+        | Ok e -> collect (e :: acc) rest
+        | Error _ as e -> e)
   in
-  match String.split_on_char ':' s with
-  | dp :: seed :: budget :: entries :: rest -> (
-      (* Trailing optional segments strip from the end — a literal
-         ["wire"], then ["ov"], then ["zc"], then ["q<n>"] — leaving at
-         most one fault segment.  Anything else in those positions
-         (e.g. ["zc2"]) falls through to the fault-plan parser and
-         errors there. *)
-      let rest, wire =
-        match List.rev rest with
-        | "wire" :: r -> (List.rev r, true)
-        | _ -> (rest, false)
-      in
-      let rest, overload =
-        match List.rev rest with
-        | "ov" :: r -> (List.rev r, true)
-        | _ -> (rest, false)
-      in
-      let rest, zerocopy =
-        match List.rev rest with
-        | "zc" :: r -> (List.rev r, true)
-        | _ -> (rest, false)
-      in
-      let qparse qpart =
-        if String.length qpart > 1 && qpart.[0] = 'q' then
-          int_of_string_opt (String.sub qpart 1 (String.length qpart - 1))
-        else None
-      in
-      match rest with
-      | [] -> parse dp seed budget entries "" 1 zerocopy overload wire
-      | [ fault_part ] ->
-          parse dp seed budget entries fault_part 1 zerocopy overload wire
-      | [ fault_part; qpart ] -> (
-          match qparse qpart with
-          | Some q when q >= 1 ->
-              parse dp seed budget entries fault_part q zerocopy overload wire
-          | _ -> Error (Printf.sprintf "bad queue segment %S" qpart))
-      | _ -> Error (Printf.sprintf "bad repro string %S" s))
-  | _ -> Error (Printf.sprintf "bad repro string %S" s)
+  collect [] (if s = "" then [] else String.split_on_char ';' s)
 
-let run_repro s =
-  Result.map
-    (fun ( datapath,
-           seed,
-           budget,
-           schedule,
-           faults,
-           queues,
-           zerocopy,
-           overload,
-           wire )
-       ->
-      run ~datapath ~seed ~budget ~queues ~faults ~zerocopy ~overload ~wire
-        schedule)
-    (parse_repro s)
+(* {1 Repro tokens}
+
+   A token is [kind:key=value:…]: one codec entry per coordinate, so a
+   new coordinate is one record field plus one entry below.  A segment
+   splits at its first ['='], which lets the [=], [;], [@], [..] and [#]
+   of the schedule and fault-plan syntaxes through untouched. *)
+
+type token = Run of params | Soak of soak_params
+
+type 'p key = {
+  key : string;
+  show : 'p -> string option;  (* [None]: at its default, omitted *)
+  read : string -> 'p -> ('p, string) result;
+}
+
+(* [default = None]: always shown. *)
+let key key ?default to_string of_string get set =
+  {
+    key;
+    show =
+      (fun p ->
+        let v = get p in
+        if Some v = default then None else Some (to_string v));
+    read = (fun s p -> Result.map (set p) (of_string s));
+  }
+
+let flag name get set =
+  key name ~default:false
+    (fun _ -> "1")
+    (function
+      | "1" -> Ok true
+      | "0" -> Ok false
+      | s -> Error (Printf.sprintf "%S is not 0 or 1" s))
+    get set
+
+let number what of_string ok s =
+  match of_string s with
+  | Some n when ok n -> Ok n
+  | _ -> Error (Printf.sprintf "%S is not %s" s what)
+
+let positive = number "a positive integer" int_of_string_opt (fun n -> n >= 1)
+
+let int64 = number "an integer" Int64.of_string_opt (fun _ -> true)
+
+let run_keys : params key list =
+  [
+    key "seed" Int64.to_string int64
+      (fun p -> p.seed)
+      (fun p seed -> { p with seed });
+    key "budget" ~default:default.budget string_of_int positive
+      (fun (p : params) -> p.budget)
+      (fun p budget -> { p with budget });
+    key "sched" ~default:[] schedule_to_string schedule_of_string
+      (fun p -> p.schedule)
+      (fun p schedule -> { p with schedule });
+    key "faults" ~default:[] Hostos.Faults.plan_to_string
+      Hostos.Faults.plan_of_string
+      (fun (p : params) -> p.faults)
+      (fun p faults -> { p with faults });
+    key "q" ~default:1 string_of_int positive
+      (fun p -> p.queues)
+      (fun p queues -> { p with queues });
+    flag "zc" (fun p -> p.zerocopy) (fun p zerocopy -> { p with zerocopy });
+    flag "ov" (fun p -> p.overload) (fun p overload -> { p with overload });
+    flag "wire" (fun p -> p.wire) (fun p wire -> { p with wire });
+  ]
+
+let soak_keys : soak_params key list =
+  [
+    key "seed" Int64.to_string int64
+      (fun p -> p.sk_seed)
+      (fun p sk_seed -> { p with sk_seed });
+    key "steps" string_of_int positive
+      (fun p -> p.sk_steps)
+      (fun p sk_steps -> { p with sk_steps });
+    key "q" string_of_int positive
+      (fun p -> p.sk_queues)
+      (fun p sk_queues -> { p with sk_queues });
+    key "slo" ~default:default_soak.sk_slo_p99 Int64.to_string
+      (number "a positive integer" Int64.of_string_opt (fun n -> n > 0L))
+      (fun p -> p.sk_slo_p99)
+      (fun p sk_slo_p99 -> { p with sk_slo_p99 });
+    flag "wire" (fun p -> p.sk_wire) (fun p sk_wire -> { p with sk_wire });
+  ]
+
+let render kind keys p =
+  String.concat ":"
+    (kind
+    :: List.filter_map
+         (fun k -> Option.map (fun v -> k.key ^ "=" ^ v) (k.show p))
+         keys)
+
+let repro = function
+  | Run p -> render (datapath_name p.datapath) run_keys p
+  | Soak p -> render "soak" soak_keys p
+
+let read_keys keys init segments =
+  let rec go seen p = function
+    | [] -> Ok p
+    | seg :: rest -> (
+        match String.index_opt seg '=' with
+        | None -> Error (Printf.sprintf "segment %S is not key=value" seg)
+        | Some i -> (
+            let name = String.sub seg 0 i
+            and value = String.sub seg (i + 1) (String.length seg - i - 1) in
+            match List.find_opt (fun k -> k.key = name) keys with
+            | None -> Error (Printf.sprintf "unknown key %S" name)
+            | Some _ when List.mem name seen ->
+                Error (Printf.sprintf "duplicate key %S" name)
+            | Some k -> (
+                match k.read value p with
+                | Ok p -> go (name :: seen) p rest
+                | Error e -> Error (Printf.sprintf "bad value for %s: %s" name e))))
+  in
+  go [] init segments
+
+let parse_repro s =
+  match String.split_on_char ':' s with
+  | "soak" :: segments ->
+      Result.map (fun p -> Soak p) (read_keys soak_keys default_soak segments)
+  | kind :: segments -> (
+      match List.find_opt (fun dp -> datapath_name dp = kind) [ Xsk; Iouring ] with
+      | Some datapath ->
+          Result.map
+            (fun p -> Run p)
+            (read_keys run_keys { default with datapath } segments)
+      | None -> Error (Printf.sprintf "unknown run kind %S in repro token" kind))
+  | [] -> Error "empty repro token"
 
 (* {1 Shrinking a failing campaign} *)
 
 type shrunk = {
-  shrunk_schedule : schedule;
-  shrunk_plan : Hostos.Faults.plan;
+  shrunk : params;
   schedule_original : int;
   plan_original : int;
   shrink_tests : int;
@@ -855,46 +872,37 @@ type shrunk = {
    the fault plan — then simplify what deletion cannot reach: armings
    whose shard pin ("#k") is not needed to reproduce lose it. *)
 let shrink_failure (o : outcome) =
-  let fails schedule plan =
-    failed
-      (run ~datapath:o.datapath ~seed:o.seed ~budget:o.budget ~queues:o.queues
-         ~faults:plan ~zerocopy:o.zerocopy ~overload:o.overload ~wire:o.wire
-         schedule)
-  in
-  let r = Shrink.minimize2 ~fails o.schedule o.fault_plan in
+  let fails schedule faults = failed (run { o.params with schedule; faults }) in
+  let r = Shrink.minimize2 ~fails o.params.schedule o.params.faults in
   let unpin (e : Hostos.Faults.plan_entry) =
     match e.Hostos.Faults.shard with
     | Some _ -> Some { e with Hostos.Faults.shard = None }
     | None -> None
   in
-  let plan, pin_tests =
+  let faults, pin_tests =
     Shrink.simplify ~fails:(fun p -> fails r.Shrink.trace2 p) ~simpler:unpin
       r.Shrink.plan2
   in
   {
-    shrunk_schedule = r.Shrink.trace2;
-    shrunk_plan = plan;
+    shrunk = { o.params with schedule = r.Shrink.trace2; faults };
     schedule_original = fst r.Shrink.original2;
     plan_original = snd r.Shrink.original2;
     shrink_tests = r.Shrink.tests2 + pin_tests;
   }
 
-let shrunk_repro (o : outcome) (s : shrunk) =
-  repro { o with schedule = s.shrunk_schedule; fault_plan = s.shrunk_plan }
-
 (* {1 Reporting} *)
 
-let pp_schedule ppf s =
-  Format.pp_print_string ppf (String.concat ";" (List.map entry_to_string s))
+let pp_schedule ppf s = Format.pp_print_string ppf (schedule_to_string s)
 
 let pp_outcome ppf (o : outcome) =
+  let p = o.params in
   Format.fprintf ppf
     "@[<v>campaign %s seed=%Ld budget=%d schedule=[%a]@,\
      steps=%d ok=%d late_ok=%d refused=%d lost=%d tolerated=%d@,\
      ring_rejects=%d desc/cqe_rejects=%d invariant=%b@,\
      fired: %s@,\
      %s"
-    (datapath_name o.datapath) o.seed o.budget pp_schedule o.schedule
+    (datapath_name p.datapath) p.seed p.budget pp_schedule p.schedule
     o.steps_run o.ok o.late_ok o.refused o.lost o.tolerated o.ring_rejects
     o.desc_rejects o.invariant_ok
     (if o.fired = [] then "(none)"
@@ -910,9 +918,9 @@ let pp_outcome ppf (o : outcome) =
          (List.map
             (fun v -> Printf.sprintf "VIOLATION step %d: %s" v.at_step v.what)
             o.violations));
-  if o.fault_plan <> [] then
+  if p.faults <> [] then
     Format.fprintf ppf "@,faults=[%a] injected: %s" Hostos.Faults.pp_plan
-      o.fault_plan
+      p.faults
       (if o.injected = [] then "(none)"
        else
          String.concat ", "
@@ -930,18 +938,18 @@ let pp_outcome ppf (o : outcome) =
        watchdog_restarts=%d degraded_scans=%d"
       o.breaker_opens o.breaker_failovers o.breaker_closes o.slow_calls
       o.watchdog_restarts o.degraded_scans;
-  if o.queues > 1 then
-    Format.fprintf ppf "@,queues=%d shard xsk opens: [%s]" o.queues
+  if p.queues > 1 then
+    Format.fprintf ppf "@,queues=%d shard xsk opens: [%s]" p.queues
       (String.concat "; " (List.map string_of_int o.shard_opens));
-  if o.zerocopy then
+  if p.zerocopy then
     Format.fprintf ppf
       "@,zerocopy: sends=%d fallbacks=%d notif_rejects=%d leaks=%d"
       o.zc_sends o.zc_fallbacks o.zc_notif_rejects o.zc_leaks;
-  if o.overload then
+  if p.overload then
     Format.fprintf ppf
       "@,overload: admitted=%d shed=%d control_shed=%d edge_drops=%d"
       o.ov_admitted o.ov_shed o.ov_control_shed o.ov_edge_drops;
-  if o.wire then
+  if p.wire then
     Format.fprintf ppf
       "@,wire: canonical lossy plan (5%% drop/reorder/dup, 1%% trunc)";
   if o.trace_tail <> [] then begin
@@ -969,9 +977,7 @@ let pp_outcome ppf (o : outcome) =
    the crowd leaves never produces such a window). *)
 
 type soak_outcome = {
-  sk_seed : int64;
-  sk_steps : int;
-  sk_queues : int;
+  sk_params : soak_params;
   sk_offered : int;
   sk_completed : int;
   sk_lost : int;  (* steps with no reply by the end of the run *)
@@ -982,7 +988,6 @@ type soak_outcome = {
   sk_accounted : int;  (* Apps.Harness.accounted *)
   sk_unaccounted : int;  (* Apps.Harness.unaccounted: must be 0 *)
   sk_latency : Obs.Metrics.summary;
-  sk_slo_p99 : int64;
   sk_slo_ok : bool;
   sk_baseline_kops : float;
   sk_crowd_kops : float;
@@ -992,8 +997,6 @@ type soak_outcome = {
   sk_breaker_opens : int;
   sk_watchdog_restarts : int;
   sk_stalled : bool;
-  sk_wire : bool;  (* canonical lossy-wire plan composed on the rolling faults *)
-  sk_repro : string;
 }
 
 (* Rolling maintenance weather: one Drop_wakeup burst per shard, pinned
@@ -1033,8 +1036,14 @@ let soak_crowd_pace = Sim.Cycles.of_us 2.
 (* 100 µs goodput windows for the recovery-phase metastability check. *)
 let soak_window = Sim.Cycles.of_us 100.
 
-let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
-    ?(slo_p99 = Rakis.Config.default.Rakis.Config.slo_p99) ?(wire = false) () =
+let soak
+    ({
+       sk_seed = seed;
+       sk_steps = steps;
+       sk_queues = queues;
+       sk_slo_p99 = slo_p99;
+       sk_wire = wire;
+     } as sp) =
   (* A soak-sized machine: the regular campaign's 32-entry rings and
      64-frame UMem are chosen to make ring-protocol attacks bite in few
      steps, but under a flood that tiny UMem is exhausted by design and
@@ -1088,82 +1097,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
       and t_crowd_start = ref 0L
       and t_crowd_end = ref 0L in
       let outstanding : (int, int64) Hashtbl.t = Hashtbl.create 1024 in
-      (* RAKIS_SOAK_DEBUG=1 turns on forensic instrumentation: a
-         per-layer occupancy sampler, per-shard controller dumps, and a
-         straggler log of completions slower than 8M cycles.  This is
-         how a multi-ms tail gets localized to a layer — queues the
-         admission gate governs versus queues it cannot see (the peer's
-         own sockets, the NIC mailboxes ahead of XDP). *)
-      let debug = Sys.getenv_opt "RAKIS_SOAK_DEBUG" <> None in
-      let worst : (int * int64 * int64) list ref = ref [] in
-      (if debug then
-         match Libos.Env.runtime h.env with
-         | None -> ()
-         | Some rt ->
-             Sim.Engine.spawn h.engine ~name:"soak-sampler" (fun () ->
-                 let pp_arr ppf a =
-                   Array.iter (fun n -> Format.fprintf ppf " %d" n) a
-                 in
-                 let rec loop () =
-                   Sim.Engine.delay 2_000_000L;
-                   let nic0 = Hostos.Kernel.nic h.kernel 0
-                   and nic1 = Hostos.Kernel.nic h.kernel 1 in
-                   Format.eprintf
-                     "SAMPLE t=%Ld out=%d done=%d nic0 rx[%a] tx=%d nic1 \
-                      rx[%a] tx=%d"
-                     (Sim.Engine.now h.engine)
-                     (Hashtbl.length outstanding)
-                     !completed pp_arr
-                     (Hostos.Nic.rx_pending nic0)
-                     (Hostos.Nic.tx_pending nic0)
-                     pp_arr
-                     (Hostos.Nic.rx_pending nic1)
-                     (Hostos.Nic.tx_pending nic1);
-                   for k = 0 to Rakis.Runtime.shard_count rt - 1 do
-                     let depth =
-                       match Rakis.Runtime.shard_overload rt k with
-                       | Some ov -> (Rakis.Overload.observe ov).ob_depth
-                       | None -> -1
-                     in
-                     let krx =
-                       Array.fold_left
-                         (fun acc fm ->
-                           acc
-                           + Rings.Certified.available (Rakis.Xsk_fm.rx_ring fm))
-                         0
-                         (Rakis.Runtime.shard_fms rt k)
-                     in
-                     let fm = (Rakis.Runtime.shard_fms rt k).(0) in
-                     let fill = Rakis.Xsk_fm.fill_ring fm in
-                     let um = Rakis.Xsk_fm.umem fm in
-                     let drops =
-                       String.concat ","
-                         (List.filter_map
-                            (fun (name, n) ->
-                              if n = 0 then None
-                              else Some (Printf.sprintf "%s=%d" name n))
-                            (Hostos.Xdp.rx_drop_reasons
-                               (Rakis.Runtime.shard_xsks rt k).(0)))
-                     in
-                     Format.eprintf
-                       " | s%d depth=%d krx=%d fill=%#x/%#x out=%d/%d free=%d \
-                        fails=%d reinit=%d brk=%s drops[%s]"
-                       k depth krx
-                       (Rings.Certified.trusted_prod fill)
-                       (Rings.Certified.trusted_cons fill)
-                       (Rakis.Umem.outstanding um Rakis.Umem.Rx)
-                       (Rakis.Umem.outstanding um Rakis.Umem.Tx)
-                       (Rakis.Umem.free_frames um)
-                       (Rakis.Xsk_fm.ring_check_failures fm)
-                       (Rakis.Xsk_fm.reinits fm)
-                       (Rakis.Health.state_name
-                          (Rakis.Health.state (Rakis.Runtime.shard_breaker rt k)))
-                       drops
-                   done;
-                   Format.eprintf "@.";
-                   loop ()
-                 in
-                 loop ()));
       (* Enclave echo server, one worker per shard's worth of service
          capacity.  Unlike the regular campaign's server it survives
          transient recv/send refusals: the soak runs long enough to meet
@@ -1228,10 +1161,7 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
                 let t0 = Hashtbl.find outstanding tag in
                 Hashtbl.remove outstanding tag;
                 incr completed;
-                let lat = Int64.sub now t0 in
-                if debug && Int64.compare lat 8_000_000L > 0 then
-                  worst := (tag, t0, lat) :: !worst;
-                Obs.Metrics.observe hist (Int64.to_int lat);
+                Obs.Metrics.observe hist (Int64.to_int (Int64.sub now t0));
                 if tag >= steps then incr crowd_done
                   (* blast-fiber datagram: tag space [steps, ...) *)
                 else if tag < crowd_from then incr baseline_done
@@ -1355,37 +1285,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
         | Some rt -> rt
         | None -> failwith "soak: no runtime"
       in
-      (if debug then
-         List.iter
-           (fun k ->
-             let st = Rakis.Runtime.shard_stack rt k in
-             Format.eprintf "DEBUG shard %d drops: %s@." k
-               (String.concat ", "
-                  (List.map
-                     (fun (r, n) -> Printf.sprintf "%s=%d" r n)
-                     (Netstack.Stack.drop_reasons st)));
-             match Rakis.Runtime.shard_overload rt k with
-             | None -> ()
-             | Some ov ->
-                 Format.eprintf "DEBUG shard %d ov (wm %d/%d): %a@.  sojourn %a@."
-                   k
-                   (Rakis.Overload.high_watermark ov)
-                   (Rakis.Overload.low_watermark ov)
-                   Rakis.Overload.pp_observation (Rakis.Overload.observe ov)
-                   Obs.Metrics.pp_summary
-                   (Obs.Metrics.summary (Rakis.Overload.sojourn_histogram ov)))
-           (List.init (Rakis.Runtime.shard_count rt) Fun.id));
-      (if debug then
-         let w =
-           List.sort (fun (_, _, a) (_, _, b) -> Int64.compare b a) !worst
-         in
-         Format.eprintf "DEBUG stragglers (>8M cycles): %d total@."
-           (List.length w);
-         List.iteri
-           (fun i (tag, t0, lat) ->
-             if i < 12 then
-               Format.eprintf "  tag=%d sent@%Ld lat=%Ld@." tag t0 lat)
-           w);
       let lost = Hashtbl.length outstanding in
       let accounted = Apps.Harness.accounted h in
       let unaccounted = Apps.Harness.unaccounted h ~missing:(lost - !late) in
@@ -1414,9 +1313,7 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
           recovery_windows None
       in
       {
-        sk_seed = seed;
-        sk_steps = steps;
-        sk_queues = queues;
+        sk_params = sp;
         sk_offered = !offered;
         sk_completed = !completed;
         sk_lost = lost;
@@ -1427,7 +1324,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
         sk_accounted = accounted;
         sk_unaccounted = unaccounted;
         sk_latency = latency;
-        sk_slo_p99 = slo_p99;
         sk_slo_ok = Int64.compare (Int64.of_int latency.Obs.Metrics.s_p99) slo_p99 <= 0;
         sk_baseline_kops = baseline_kops;
         sk_crowd_kops = crowd_kops;
@@ -1441,10 +1337,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
             (List.init (Rakis.Runtime.shard_count rt) Fun.id);
         sk_watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
         sk_stalled = !steps_run < steps;
-        sk_wire = wire;
-        sk_repro =
-          Printf.sprintf "soak:%Ld:%d:q%d%s" seed steps queues
-            (if wire then ":wire" else "");
       }
 
 (* The soak's SLO gates, in one verdict (mirrored by [tm_verify --soak]
@@ -1461,11 +1353,11 @@ let pp_soak_outcome ppf (o : soak_outcome) =
      latency: %a (slo_p99=%Ld %s)@,\
      goodput kops/s: baseline=%.1f crowd=%.1f recovery=%.1f recovered=%b%s@,\
      breaker_opens=%d watchdog_restarts=%d@]"
-    o.sk_repro o.sk_steps o.sk_queues
+    (repro (Soak o.sk_params)) o.sk_params.sk_steps o.sk_params.sk_queues
     (if o.sk_stalled then " STALLED" else "")
     o.sk_offered o.sk_completed o.sk_lost o.sk_late o.sk_shed o.sk_control_shed
     o.sk_accounted o.sk_unaccounted o.sk_edge_drops Obs.Metrics.pp_summary
-    o.sk_latency o.sk_slo_p99
+    o.sk_latency o.sk_params.sk_slo_p99
     (if o.sk_slo_ok then "ok" else "VIOLATED")
     o.sk_baseline_kops o.sk_crowd_kops o.sk_recovery_kops o.sk_recovered
     (match o.sk_recovery_window with

@@ -5,7 +5,8 @@
     under {e schedules} of {!Hostos.Malice} attacks: single attacks
     pinned to a step, pairwise combinations, or RNG-driven soups.
     Every run is seeded and the simulator is deterministic, so any
-    outcome replays exactly from its [(seed, schedule)] pair.
+    outcome replays exactly from its {!params}, printed as a repro
+    token by {!repro}.
 
     Violations are Table 2 contract breaches only: a broken certified
     invariant, corrupted data acted on as if intact, an out-of-range
@@ -15,6 +16,9 @@
     territory) are counted separately, not as violations. *)
 
 type datapath = Xsk | Iouring
+
+val datapath_name : datapath -> string
+(** ["xsk"] or ["io_uring"], also the kind of its repro tokens. *)
 
 type entry =
   | At of { step : int; attack : Hostos.Malice.attack }
@@ -30,12 +34,36 @@ type schedule = entry list
 
 type violation = { at_step : int; what : string }
 
-type outcome = {
+type params = {
   datapath : datapath;
   seed : int64;
   budget : int;  (** workload steps driven *)
-  queues : int;  (** datapath shards the machine booted with *)
+  queues : int;  (** datapath shards the machine boots with *)
   schedule : schedule;
+  faults : Hostos.Faults.plan;
+      (** host-fault schedule ([[]] = fault-free: the injector and
+          watchdog are not armed unless [wire] is set) *)
+  zerocopy : bool;
+      (** boot with {!Rakis.Config.zerocopy}: SEND_ZC, fixed-buffer file
+          IO and multishot recv on the io_uring datapath
+          (docs/zerocopy.md) *)
+  overload : bool;
+      (** boot with {!Rakis.Config.overload}: CoDel/watermark admission
+          control on every shard plus the io_uring pending table
+          (DESIGN.md §15) *)
+  wire : bool;
+      (** compose the canonical lossy-wire plan ({!wire_plan}) on top of
+          [faults] *)
+}
+(** Everything that identifies a campaign run — the one description
+    {!run} consumes, {!outcome} carries and the repro token encodes. *)
+
+val default : params
+(** XSK, seed 0, budget 64, one queue, no schedule, no faults, every
+    flag off: the base for [{ default with ... }]. *)
+
+type outcome = {
+  params : params;  (** the run's coordinates: replay with {!run} *)
   steps_run : int;
   ok : int;  (** operations verified against the golden model *)
   late_ok : int;  (** verified operations in the last quarter (recovery) *)
@@ -43,9 +71,6 @@ type outcome = {
   lost : int;  (** timeouts / drops (availability, not integrity) *)
   tolerated : int;  (** mismatches while a data-level attack was live *)
   fired : (Hostos.Malice.attack * int) list;
-  fault_plan : Hostos.Faults.plan;
-      (** the host-fault schedule the run executed under ([[]] =
-          fault-free; the injector and watchdog were not armed) *)
   injected : (Hostos.Faults.fault * int) list;
       (** faults actually injected, with counts *)
   ring_rejects : int;  (** certified index-check rejections *)
@@ -59,14 +84,11 @@ type outcome = {
   breaker_failovers : int;  (** ops rerouted to the exit-based slow path *)
   breaker_closes : int;  (** recoveries: half-open probes that failed back *)
   shard_opens : int list;
-      (** per-shard XSK breaker trips in shard order ([queues] entries):
+      (** per-shard XSK breaker trips in shard order ([params.queues]
+          entries):
           the containment witness — a fault pinned to shard [k] must
           leave every other entry 0 *)
   slow_calls : int;  (** host syscalls the slow path actually performed *)
-  zerocopy : bool;
-      (** machine booted with {!Rakis.Config.zerocopy}: SEND_ZC,
-          fixed-buffer file IO and multishot recv on the io_uring
-          datapath (docs/zerocopy.md) *)
   zc_sends : int;  (** SEND_ZC frames lent to the kernel *)
   zc_fallbacks : int;
       (** zero-copy ops that degraded to the copy path (dry pool or
@@ -76,10 +98,6 @@ type outcome = {
   zc_leaks : int;
       (** lent frames whose notif the host withheld — non-zero fails
           the campaign (see {!failed}) *)
-  overload : bool;
-      (** machine booted with {!Rakis.Config.overload}: CoDel/watermark
-          admission control on every shard plus the io_uring pending
-          table (DESIGN.md §15) *)
   ov_admitted : int;  (** admissions summed over every controller *)
   ov_shed : int;  (** accounted data-class sheds *)
   ov_control_shed : int;
@@ -88,10 +106,6 @@ type outcome = {
   ov_edge_drops : int;
       (** host-NIC drops while the fill ring was throttled: the flood
           dying at the edge instead of inside the enclave *)
-  wire : bool;
-      (** the canonical lossy-wire plan ({!wire_plan}) was composed on
-          top of [fault_plan]; rendered as a final [":wire"] token
-          segment *)
   violations : violation list;
   trace_tail : string list;
       (** rendered tail (up to 24 events, oldest first) of the
@@ -100,52 +114,48 @@ type outcome = {
           violation; [[]] on success *)
 }
 
-val run :
-  datapath:datapath ->
-  seed:int64 ->
-  ?budget:int ->
-  ?queues:int ->
-  ?faults:Hostos.Faults.plan ->
-  ?zerocopy:bool ->
-  ?overload:bool ->
-  ?wire:bool ->
-  schedule ->
-  outcome
+val run : params -> outcome
 (** Boot a fresh RAKIS-SGX machine, install the schedule, drive
-    [budget] (default 64) verifying workload steps, and collect the
-    outcome.  [queues] (default 1) boots the machine with that many
-    datapath shards ({!Rakis.Config.num_queues}); fault-plan entries and
-    attacks may then pin themselves to one shard ([#<k>] suffix in the
-    plan syntax) and [shard_opens] witnesses containment.  A non-empty
-    [faults] plan additionally arms a {!Hostos.Faults} injector (seeded
-    from [seed], so replays are bit-for-bit) and the enclave watchdog
+    [budget] verifying workload steps, and collect the outcome.
+    [queues] boots the machine with that many datapath shards
+    ({!Rakis.Config.num_queues}); fault-plan entries and attacks may
+    then pin themselves to one shard ([#<k>] suffix in the plan syntax)
+    and [shard_opens] witnesses containment.  A non-empty [faults] plan
+    additionally arms a {!Hostos.Faults} injector (seeded from [seed],
+    so replays are bit-for-bit) and the enclave watchdog
     ({!Rakis.Runtime.start_watchdog}): attacks and host faults compose
     in one run, and the oracle's verdicts are unchanged — faults may
     only cost availability ([lost]/[refused]), never integrity.
-    [zerocopy] (default false) boots the machine with
-    {!Rakis.Config.zerocopy}, routing the io_uring workload through
-    SEND_ZC / fixed-buffer / multishot paths and exposing the notif
-    attacks.  [overload] (default false) boots it with
-    {!Rakis.Config.overload}: admission control on every shard and the
-    io_uring pending table — refusals surface as accounted [EAGAIN]
-    sheds, never silent drops (DESIGN.md §15).  [wire] (default false)
-    composes the canonical lossy-wire weather ({!wire_plan}) on top of
-    whatever [faults] plan was given — the injector is armed even when
-    [faults] is empty — and stamps a final [":wire"] segment on the
-    repro token. *)
+    [zerocopy] routes the io_uring workload through SEND_ZC /
+    fixed-buffer / multishot paths and exposes the notif attacks.
+    [overload] turns refusals into accounted [EAGAIN] sheds, never
+    silent drops (DESIGN.md §15).  [wire] composes the canonical
+    lossy-wire weather ({!wire_plan}) on top of whatever [faults] plan
+    was given — the injector is armed even when [faults] is empty. *)
 
 val wire_plan : Hostos.Faults.plan
 (** The canonical hostile-wire weather (DESIGN.md §16): 5%
     {!Hostos.Faults.Wire_drop}, 5% {!Hostos.Faults.Wire_reorder}, 5%
     {!Hostos.Faults.Wire_dup} and 1% {!Hostos.Faults.Wire_trunc},
     probability-triggered over the whole run and unpinned (every
-    shard's link is equally bad).  What [run ~wire:true],
-    [soak ~wire:true] and the [--wire] CLI flags install. *)
+    shard's link is equally bad).  What [wire = true] in {!params} or
+    {!soak_params} and the [--wire] CLI flags install. *)
 
 val failed : outcome -> bool
 (** Violations, a broken system invariant, [zc_leaks > 0] (the
     dropped-notif attack's footprint at quiescence), or
     [ov_control_shed > 0] (the never-shed-control guarantee broke). *)
+
+val read_back :
+  (Bytes.t * int) list -> off:int -> Bytes.t -> int -> (Bytes.t * int, string) result
+(** The io_uring workload's file oracle.  [read_back candidates ~off buf n]
+    judges a read of [n] bytes into [buf] (which asked for
+    [Bytes.length buf] bytes at offset [off]) against candidate file
+    states [(image, length)], in order.  A write the FM refused with
+    [EPERM] leaves two candidates, the new state and the old one: the
+    enclave cannot know whether the host ran it (Table 2).  Returns the
+    first candidate the read matches, bytes and length alike, or the
+    first candidate's mismatch. *)
 
 val applicable : ?zerocopy:bool -> datapath -> Hostos.Malice.attack list
 (** The attacks whose kernel tampering hooks lie on this datapath: the
@@ -188,44 +198,8 @@ val failover_plan : datapath:datapath -> budget:int -> Hostos.Faults.plan
     The fault-free tail lets the breaker half-open, probe and fail
     back, so a single run shows the whole degrade/recover arc. *)
 
-val repro : outcome -> string
-(** Copy-pasteable replay token:
-    ["<datapath>:<seed>:<budget>:<step>=<attack>;…"], with a fifth
-    [":<fault-plan>"] segment (syntax of {!Hostos.Faults.plan_to_string})
-    appended iff the run had one — so fault runs replay bit-for-bit and
-    fault-free single-queue tokens keep the historical 4-segment shape.
-    Multi-queue runs always carry a sixth [":q<n>"] segment (after a
-    possibly-empty fault segment) recording the shard count, zero-copy
-    runs a [":zc"] segment after whatever shape precedes it,
-    overload-control runs an [":ov"] segment after that, and
-    lossy-wire runs one final [":wire"] segment.  Feed it to
-    {!run_repro} or [tm_verify --replay]. *)
-
-val parse_repro :
-  string ->
-  ( datapath
-    * int64
-    * int
-    * schedule
-    * Hostos.Faults.plan
-    * int
-    * bool
-    * bool
-    * bool,
-    string )
-  result
-(** Accepts 4-segment (fault-free, plan [[]]), 5-segment (faults) and
-    6-segment (faults + [q<n>] shard count) tokens, each optionally
-    followed by a literal ["zc"] segment, then a literal ["ov"]
-    segment, then a literal ["wire"] segment; the last four tuple
-    components are the queue count (1 for the shorter shapes), the
-    zero-copy flag, the overload flag and the wire flag. *)
-
-val run_repro : string -> (outcome, string) result
-
 type shrunk = {
-  shrunk_schedule : schedule;
-  shrunk_plan : Hostos.Faults.plan;
+  shrunk : params;  (** the minimal still-failing run *)
   schedule_original : int;  (** schedule entries before shrinking *)
   plan_original : int;  (** fault-plan entries before shrinking *)
   shrink_tests : int;  (** campaign replays spent *)
@@ -233,14 +207,10 @@ type shrunk = {
 
 val shrink_failure : outcome -> shrunk
 (** Greedily minimize a failing outcome (re-running the full campaign
-    per candidate) to a minimal still-failing repro — both coordinates:
+    per candidate) to a minimal still-failing run — both coordinates:
     the attack schedule and the fault plan (either may go empty), plus
     an element pass that drops shard pins ([#k]) the failure does not
-    need. *)
-
-val shrunk_repro : outcome -> shrunk -> string
-(** The repro token of the minimized failure (same datapath, seed,
-    budget and queue count). *)
+    need.  Every other coordinate of [o.params] is kept. *)
 
 val pp_schedule : Format.formatter -> schedule -> unit
 
@@ -248,10 +218,23 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {1 Chaos soak (DESIGN.md §15)} *)
 
-type soak_outcome = {
+type soak_params = {
   sk_seed : int64;
-  sk_steps : int;
-  sk_queues : int;
+  sk_steps : int;  (** flow datagrams driven *)
+  sk_queues : int;  (** datapath shards the machine boots with *)
+  sk_slo_p99 : int64;  (** p99 round-trip SLO, cycles *)
+  sk_wire : bool;
+      (** compose the canonical lossy-wire plan ({!wire_plan}) on top of
+          the rolling shard faults *)
+}
+(** Everything that identifies a soak run. *)
+
+val default_soak : soak_params
+(** Seed [0x50AD5EED], 100 000 steps, 2 queues, the
+    {!Rakis.Config.default} SLO, no wire weather. *)
+
+type soak_outcome = {
+  sk_params : soak_params;  (** the run's coordinates: replay with {!soak} *)
   sk_offered : int;  (** datagrams the client actually put on the wire *)
   sk_completed : int;  (** tag-matched echoes (any time before run end) *)
   sk_lost : int;  (** offered datagrams never echoed *)
@@ -270,7 +253,6 @@ type soak_outcome = {
           — a non-zero value is a silently lost datagram, which fails
           the soak *)
   sk_latency : Obs.Metrics.summary;  (** completed-op round trips, cycles *)
-  sk_slo_p99 : int64;
   sk_slo_ok : bool;  (** [p99 <= slo_p99] (conservative: p99 is a log2
                          bucket upper bound) *)
   sk_baseline_kops : float;  (** goodput before the flash crowd *)
@@ -282,32 +264,18 @@ type soak_outcome = {
   sk_breaker_opens : int;
   sk_watchdog_restarts : int;
   sk_stalled : bool;  (** the driver did not finish inside the horizon *)
-  sk_wire : bool;
-      (** the canonical lossy-wire plan ({!wire_plan}) was composed on
-          top of the rolling shard faults *)
-  sk_repro : string;
-      (** ["soak:<seed>:<steps>:q<n>[:wire]"] — feed the parameters
-          back to {!soak} (the trailing segment is [~wire:true]) to
-          replay *)
 }
 
-val soak :
-  ?steps:int ->
-  ?queues:int ->
-  ?seed:int64 ->
-  ?slo_p99:int64 ->
-  ?wire:bool ->
-  unit ->
-  soak_outcome
+val soak : soak_params -> soak_outcome
 (** Run the chaos soak: the XSK UDP echo workload on a multi-queue
-    machine booted with {!Rakis.Config.overload}, [steps] (default
-    100_000) datagrams across {!soak_flows} flows — closed-loop for the
-    first 40%, an open-loop flash-crowd blast for the middle 20%,
-    closed-loop recovery for the rest — composed with a rolling
-    shard-pinned {!Hostos.Faults.Drop_wakeup} plan and a seeded malice
-    soup.  [wire] (default false) additionally installs the canonical
-    lossy-wire weather ({!wire_plan}) for the whole run.
-    Deterministic in [(seed, steps, queues, wire)]. *)
+    machine booted with {!Rakis.Config.overload}, [steps] datagrams
+    across {!soak_flows} flows — closed-loop for the first 40%, an
+    open-loop flash-crowd blast for the middle 20%, closed-loop recovery
+    for the rest — composed with a rolling shard-pinned
+    {!Hostos.Faults.Drop_wakeup} plan and a seeded malice soup.  [wire]
+    additionally installs the canonical lossy-wire weather
+    ({!wire_plan}) for the whole run.  Deterministic in its
+    {!soak_params}. *)
 
 val soak_failed : soak_outcome -> bool
 (** The soak's gates: a stall, an unaccounted datagram, a shed control
@@ -316,3 +284,27 @@ val soak_failed : soak_outcome -> bool
 val soak_flows : int
 
 val pp_soak_outcome : Format.formatter -> soak_outcome -> unit
+
+(** {1 Repro tokens} *)
+
+type token = Run of params | Soak of soak_params
+(** The two kinds of replayable run. *)
+
+val repro : token -> string
+(** The copy-pasteable replay token [kind:key=value:…]: the kind is
+    [xsk], [io_uring] or [soak], then one [key=value] segment per
+    coordinate, in a fixed order.  Keys at their default are omitted,
+    except [seed] (and, for the soak, [steps] and [q]).
+    - campaign keys: [seed], [budget], [sched] (the schedule,
+      [<step>=<attack>] and [<first>..<last>@<p>=<attack>] entries
+      joined by [;]), [faults] (syntax of {!Hostos.Faults.plan_to_string}),
+      [q] (queue count), and the flags [zc], [ov], [wire] ([1] when set);
+    - soak keys: [seed], [steps], [q], [slo] (cycles), [wire].
+    Feed it to {!parse_repro} or [tm_verify --replay]. *)
+
+val parse_repro : string -> (token, string) result
+(** Inverse of {!repro}.  A segment splits at its first [=], so the
+    schedule and fault-plan syntaxes pass through untouched; key order
+    is free and a missing key takes its default.  An unknown kind, an
+    unknown or duplicate key, a segment without [=] or a bad value is an
+    [Error] naming it. *)

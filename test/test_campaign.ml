@@ -18,9 +18,7 @@ let fired_of (o : C.outcome) attack =
   match List.assoc_opt attack o.C.fired with Some n -> n | None -> 0
 
 let label dp attack =
-  Printf.sprintf "%s/%s"
-    (match dp with C.Xsk -> "xsk" | C.Iouring -> "io_uring")
-    (M.attack_name attack)
+  Printf.sprintf "%s/%s" (C.datapath_name dp) (M.attack_name attack)
 
 (* {1 Malice scheduling hooks (satellite: per-attack counts)} *)
 
@@ -94,7 +92,16 @@ let test_malice_arm_replaces () =
 let single dp attack =
   let seed = Flake.seed 21L in
   Flake.guard ~name:(label dp attack) ~seed @@ fun () ->
-  let o = C.run ~datapath:dp ~seed ~budget:32 [ C.At { step = 8; attack } ] in
+  let o =
+    C.run
+      {
+        C.default with
+        datapath = dp;
+        seed;
+        budget = 32;
+        schedule = [ C.At { step = 8; attack } ];
+      }
+  in
   check_bool
     (label dp attack ^ ": no violation")
     false (C.failed o);
@@ -136,7 +143,13 @@ let test_xsk_blind_spots () =
   List.iter
     (fun attack ->
       let o =
-        C.run ~datapath:C.Xsk ~seed:21L ~budget:24 [ C.At { step = 6; attack } ]
+        C.run
+          {
+            C.default with
+            seed = 21L;
+            budget = 24;
+            schedule = [ C.At { step = 6; attack } ];
+          }
       in
       check (label C.Xsk attack ^ ": never fires") 0 (total_fired o);
       check_bool (label C.Xsk attack ^ ": clean") false (C.failed o))
@@ -169,8 +182,15 @@ let test_singles_iouring_zerocopy () =
       let seed = Flake.seed 23L in
       Flake.guard ~name:("zc " ^ label C.Iouring attack) ~seed @@ fun () ->
       let o =
-        C.run ~datapath:C.Iouring ~seed ~budget:32 ~zerocopy:true
-          [ C.At { step = 8; attack } ]
+        C.run
+          {
+            C.default with
+            datapath = C.Iouring;
+            seed;
+            budget = 32;
+            zerocopy = true;
+            schedule = [ C.At { step = 8; attack } ];
+          }
       in
       check_bool (label C.Iouring attack ^ ": no violation") false (C.failed o);
       check_bool
@@ -190,7 +210,10 @@ let test_singles_iouring_zerocopy () =
 let test_zerocopy_honest_run () =
   let seed = Flake.seed 29L in
   Flake.guard ~name:"zc honest" ~seed @@ fun () ->
-  let o = C.run ~datapath:C.Iouring ~seed ~budget:32 ~zerocopy:true [] in
+  let o =
+    C.run
+      { C.default with datapath = C.Iouring; seed; budget = 32; zerocopy = true }
+  in
   check_bool "clean" false (C.failed o);
   check_bool "verified ops" true (o.C.ok > 0);
   check_bool "sends were zero-copy" true (o.C.zc_sends > 0);
@@ -199,8 +222,15 @@ let test_zerocopy_honest_run () =
 
 let test_dropped_notif_fails_campaign () =
   let o =
-    C.run ~datapath:C.Iouring ~seed:21L ~budget:32 ~zerocopy:true
-      [ C.At { step = 8; attack = M.Dropped_notif } ]
+    C.run
+      {
+        C.default with
+        datapath = C.Iouring;
+        seed = 21L;
+        budget = 32;
+        zerocopy = true;
+        schedule = [ C.At { step = 8; attack = M.Dropped_notif } ];
+      }
   in
   check_bool "dropped-notif fired" true (fired_of o M.Dropped_notif >= 1);
   check_bool "leak recorded" true (o.C.zc_leaks > 0);
@@ -220,83 +250,55 @@ let mixed_schedule =
     C.At { step = 20; attack = M.Corrupt_packet };
   ]
 
+let mixed datapath =
+  { C.default with datapath; seed = 77L; budget = 28; schedule = mixed_schedule }
+
 let test_replay_determinism () =
   List.iter
     (fun dp ->
-      let a = C.run ~datapath:dp ~seed:77L ~budget:28 mixed_schedule in
-      let b = C.run ~datapath:dp ~seed:77L ~budget:28 mixed_schedule in
+      let a = C.run (mixed dp) in
+      let b = C.run (mixed dp) in
       check_bool "identical outcome" true (a = b))
     [ C.Xsk; C.Iouring ]
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
+  at 0
+
+(* [p]'s token must read back as [p] and contain [fragment]; replaying
+   the parsed parameters must reproduce the outcome exactly. *)
+let roundtrip p ~fragment =
+  let o = C.run p in
+  let token = C.repro (C.Run o.C.params) in
+  check_bool
+    (Printf.sprintf "token %S contains %S" token fragment)
+    true
+    (contains ~needle:fragment token);
+  match C.parse_repro token with
+  | Ok (C.Run p') ->
+      check_bool "parses back" true (p' = p);
+      check_bool "replayed outcome" true (C.run p' = o);
+      o
+  | Ok (C.Soak _) -> Alcotest.failf "%S parsed as a soak token" token
+  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
+
 let test_repro_roundtrip () =
-  List.iter
-    (fun dp ->
-      let o = C.run ~datapath:dp ~seed:77L ~budget:28 mixed_schedule in
-      let token = C.repro o in
-      match C.parse_repro token with
-      | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-      | Ok (dp', seed', budget', schedule', faults', _, _, _, _) ->
-          check_bool "datapath" true (dp = dp');
-          Alcotest.(check int64) "seed" 77L seed';
-          check "budget" 28 budget';
-          check_bool "schedule" true (schedule' = mixed_schedule);
-          check_bool "fault-free plan" true (faults' = []);
-          (match C.run_repro token with
-          | Error e -> Alcotest.failf "run_repro %S: %s" token e
-          | Ok o' -> check_bool "replayed outcome" true (o = o')))
-    [ C.Xsk; C.Iouring ]
+  ignore (roundtrip (mixed C.Xsk) ~fragment:"xsk:seed=77:budget=28:sched=5=");
+  ignore (roundtrip (mixed C.Iouring) ~fragment:"io_uring:seed=77:budget=28:")
 
 let test_repro_roundtrip_zerocopy () =
-  let o =
-    C.run ~datapath:C.Iouring ~seed:77L ~budget:28 ~zerocopy:true
-      mixed_schedule
-  in
-  let token = C.repro o in
-  check_bool "token carries the zc segment" true
-    (String.length token > 3
-    && String.sub token (String.length token - 3) 3 = ":zc");
-  match C.parse_repro token with
-  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (dp', seed', budget', schedule', faults', queues', zc', _ov', _wire') ->
-      check_bool "datapath" true (dp' = C.Iouring);
-      Alcotest.(check int64) "seed" 77L seed';
-      check "budget" 28 budget';
-      check_bool "schedule" true (schedule' = mixed_schedule);
-      check_bool "fault-free plan" true (faults' = []);
-      check "queues" 1 queues';
-      check_bool "zerocopy flag" true zc';
-      (match C.run_repro token with
-      | Error e -> Alcotest.failf "run_repro %S: %s" token e
-      | Ok o' -> check_bool "replayed outcome" true (o = o'))
+  ignore
+    (roundtrip { (mixed C.Iouring) with zerocopy = true } ~fragment:":zc=1")
 
 let test_repro_roundtrip_overload () =
-  let o =
-    C.run ~datapath:C.Xsk ~seed:77L ~budget:28 ~queues:2 ~overload:true
-      mixed_schedule
-  in
-  let token = C.repro o in
-  check_bool "token carries the ov segment" true
-    (String.length token > 3
-    && String.sub token (String.length token - 3) 3 = ":ov");
-  match C.parse_repro token with
-  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (dp', seed', budget', schedule', faults', queues', zc', ov', _wire') ->
-      check_bool "datapath" true (dp' = C.Xsk);
-      Alcotest.(check int64) "seed" 77L seed';
-      check "budget" 28 budget';
-      check_bool "schedule" true (schedule' = mixed_schedule);
-      check_bool "fault-free plan" true (faults' = []);
-      check "queues" 2 queues';
-      check_bool "zerocopy flag off" false zc';
-      check_bool "overload flag" true ov';
-      (match C.run_repro token with
-      | Error e -> Alcotest.failf "run_repro %S: %s" token e
-      | Ok o' -> check_bool "replayed outcome" true (o = o'))
+  ignore
+    (roundtrip
+       { (mixed C.Xsk) with queues = 2; overload = true }
+       ~fragment:":q=2:ov=1")
 
 let test_repro_roundtrip_wire () =
-  let o =
-    C.run ~datapath:C.Xsk ~seed:77L ~budget:28 ~wire:true mixed_schedule
-  in
+  let o = roundtrip { (mixed C.Xsk) with wire = true } ~fragment:":wire=1" in
   check_bool "wire weather actually injected" true
     (List.exists
        (fun (f, n) ->
@@ -304,30 +306,10 @@ let test_repro_roundtrip_wire () =
          && List.mem f
               Hostos.Faults.[ Wire_drop; Wire_reorder; Wire_dup; Wire_trunc ])
        o.C.injected);
-  check_bool "user-visible plan stays empty" true (o.C.fault_plan = []);
-  let token = C.repro o in
-  check_bool "token carries the wire segment" true
-    (String.length token > 5
-    && String.sub token (String.length token - 5) 5 = ":wire");
-  match C.parse_repro token with
-  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (dp', seed', budget', schedule', faults', queues', zc', ov', wire') ->
-      check_bool "datapath" true (dp' = C.Xsk);
-      Alcotest.(check int64) "seed" 77L seed';
-      check "budget" 28 budget';
-      check_bool "schedule" true (schedule' = mixed_schedule);
-      check_bool "fault-free plan" true (faults' = []);
-      check "queues" 1 queues';
-      check_bool "zerocopy flag off" false zc';
-      check_bool "overload flag off" false ov';
-      check_bool "wire flag" true wire';
-      (match C.run_repro token with
-      | Error e -> Alcotest.failf "run_repro %S: %s" token e
-      | Ok o' -> check_bool "replayed outcome" true (o = o'))
+  check_bool "user-visible plan stays empty" true (o.C.params.faults = [])
 
-(* The optional trailing segments strip in one fixed order ([:wire],
-   then [:ov], then [:zc], then [:q<n>]); these pins keep near-miss
-   tokens failing loudly instead of silently dropping a flag. *)
+(* Flags are literal values of their keys: near misses fail loudly
+   instead of silently dropping or doubling a flag. *)
 let test_repro_malformed () =
   List.iter
     (fun token ->
@@ -335,15 +317,65 @@ let test_repro_malformed () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "malformed token %S parsed" token)
     [
-      "xsk:77:28::ov2" (* not a literal "ov": must not half-match *);
-      "xsk:77:28::ov:zc" (* flags in the wrong order *);
-      "xsk:77:28::wire2" (* not a literal "wire" *);
-      "xsk:77:28::wire:ov" (* wire must come last *);
-      "xsk:77:28::wire:wire" (* a second "wire" overflows *);
-      "xsk:77:28::zc:q2" (* q<n> must precede zc *);
-      "xsk:77:28::q0" (* zero queues *);
-      "ov" (* no header at all *);
+      "xsk:seed=77:ov2" (* not a key=value segment *);
+      "xsk:seed=77:ov=2" (* flags are 0 or 1 *);
+      "xsk:seed=77:wire2" (* not a key=value segment *);
+      "xsk:seed=77:wire=1:wire=1" (* a second wire is a duplicate key *);
+      "xsk:seed=77:q=0" (* zero queues *);
+      "ov" (* no kind at all *);
     ]
+
+(* {1 The file oracle under refused writes} *)
+
+(* A write whose genuine CQE carried an injected EIO, then had its
+   user_data forged: the FM refuses it with EPERM (Table 2) although
+   the kernel never ran it, so the slot still holds the old block at
+   step 14.  The oracle must accept either block; this token, shrunk
+   from the "faults x malice" campaign, once failed it. *)
+let test_refused_write_keeps_old_block () =
+  let token =
+    "io_uring:seed=71:budget=50:sched=11..19@0.3=cqe-wrong-user-data;\
+     5..10@0.3=cqe-bogus-res;5..16@0.3=misaligned-offset:\
+     faults=@0.05=transient-errno;@0.02=partial-cqe;@0.05=drop-wakeup"
+  in
+  match C.parse_repro token with
+  | Ok (C.Run p) ->
+      let o = C.run p in
+      check_bool "forged completions fired" true
+        (fired_of o M.Cqe_wrong_user_data > 0);
+      check_bool "no violation" false (C.failed o)
+  | Ok (C.Soak _) -> Alcotest.fail "parsed as a soak token"
+  | Error e -> Alcotest.failf "parse_repro: %s" e
+
+(* After a refused write the read-back may match the new state or the
+   old one, bytes and length alike; anything else is still a
+   violation. *)
+let test_read_back_candidates () =
+  let state c high =
+    let image = Bytes.make 128 '\000' in
+    Bytes.fill image 0 64 c;
+    (image, high)
+  in
+  let fresh = state 'b' 64 and old = state 'a' 64 and empty = state '\000' 0 in
+  let read c n = Bytes.make 64 c, n in
+  let verdict candidates (buf, n) =
+    match C.read_back candidates ~off:0 buf n with
+    | Ok c when c == fresh -> "new"
+    | Ok c when c == old || c == empty -> "old"
+    | Ok _ -> "other"
+    | Error e -> e
+  in
+  let expect label want candidates r =
+    Alcotest.(check string) label want (verdict candidates r)
+  in
+  expect "new block" "new" [ fresh; old ] (read 'b' 64);
+  expect "old block" "old" [ fresh; old ] (read 'a' 64);
+  expect "old length" "old" [ fresh; empty ] (read 'a' 0);
+  expect "neither block" "file read-back mismatch" [ fresh; old ] (read 'c' 64);
+  expect "neither length" "file read length 32, expected 64" [ fresh; old ]
+    (read 'a' 32);
+  expect "no refused write, no second chance" "file read-back mismatch"
+    [ fresh ] (read 'a' 64)
 
 (* {1 Pairwise and soup schedules} *)
 
@@ -360,8 +392,15 @@ let test_pairwise () =
       List.iter
         (fun (a, b) ->
           let o =
-            C.run ~datapath:dp ~seed ~budget:28
-              [ C.At { step = 7; attack = a }; C.At { step = 14; attack = b } ]
+            C.run
+              {
+                C.default with
+                datapath = dp;
+                seed;
+                budget = 28;
+                schedule =
+                  [ C.At { step = 7; attack = a }; C.At { step = 14; attack = b } ];
+              }
           in
           check_bool
             (Printf.sprintf "%s+%s" (label dp a) (M.attack_name b))
@@ -378,7 +417,7 @@ let test_soup () =
     (fun dp ->
       let schedule = C.soup ~datapath:dp ~seed ~budget:48 () in
       check_bool "soup is non-empty" true (schedule <> []);
-      let o = C.run ~datapath:dp ~seed ~budget:48 schedule in
+      let o = C.run { C.default with datapath = dp; seed; budget = 48; schedule } in
       check_bool "soup survives" false (C.failed o);
       check_bool "soup fired attacks" true (total_fired o > 0);
       check_bool "soup still made progress" true (o.C.ok > 0))
@@ -446,15 +485,17 @@ let test_shrink_campaign_failure () =
      soup above covers the acceptance criterion.  Here we check the
      plumbing: shrinking a *passing* outcome returns it unchanged. *)
   let o =
-    C.run ~datapath:C.Xsk ~seed:21L ~budget:20
-      [ C.At { step = 5; attack = M.Prod_overshoot } ]
+    C.run
+      {
+        C.default with
+        seed = 21L;
+        budget = 20;
+        schedule = [ C.At { step = 5; attack = M.Prod_overshoot } ];
+      }
   in
   check_bool "outcome passes" false (C.failed o);
   let r = C.shrink_failure o in
-  check "non-failing schedule unchanged" (List.length o.C.schedule)
-    (List.length r.C.shrunk_schedule);
-  check "non-failing plan unchanged" (List.length o.C.fault_plan)
-    (List.length r.C.shrunk_plan)
+  check_bool "non-failing run unchanged" true (r.C.shrunk = o.C.params)
 
 (* ddmin over both coordinates: a failure that needs one of two armed
    faults (and one of six schedule steps) shrinks to exactly that. *)
@@ -579,4 +620,8 @@ let suite =
       test_shrink_drops_shard_pin;
     Alcotest.test_case "shrink: essential shard pin kept" `Quick
       test_shrink_keeps_needed_pin;
+    Alcotest.test_case "campaign: refused write may leave the old block"
+      `Quick test_refused_write_keeps_old_block;
+    Alcotest.test_case "campaign: read-back matching neither candidate fails"
+      `Quick test_read_back_candidates;
   ]

@@ -268,30 +268,35 @@ let fault_mix =
 
 let test_campaign_faults_no_violations () =
   List.iter
-    (fun dp ->
-      let o = Tm.Campaign.run ~datapath:dp ~seed:9L ~budget:24 ~faults:fault_mix [] in
+    (fun datapath ->
+      let o =
+        Tm.Campaign.run
+          { Tm.Campaign.default with datapath; seed = 9L; budget = 24; faults = fault_mix }
+      in
       check_bool "no violations" false (Tm.Campaign.failed o);
       check_bool "faults injected" true
         (List.fold_left (fun a (_, n) -> a + n) 0 o.Tm.Campaign.injected > 0))
     [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ]
 
 let test_campaign_fault_repro_roundtrip () =
-  let schedule = [ Tm.Campaign.At { step = 6; attack = Hostos.Malice.Prod_overshoot } ] in
   let o =
-    Tm.Campaign.run ~datapath:Tm.Campaign.Iouring ~seed:9L ~budget:24
-      ~faults:fault_mix schedule
+    Tm.Campaign.run
+      {
+        Tm.Campaign.default with
+        datapath = Tm.Campaign.Iouring;
+        seed = 9L;
+        budget = 24;
+        faults = fault_mix;
+        schedule = [ Tm.Campaign.At { step = 6; attack = Hostos.Malice.Prod_overshoot } ];
+      }
   in
-  let token = Tm.Campaign.repro o in
-  check_bool "token has 5 segments" true
-    (List.length (String.split_on_char ':' token) = 5);
-  (match Tm.Campaign.parse_repro token with
+  let token = Tm.Campaign.repro (Tm.Campaign.Run o.Tm.Campaign.params) in
+  match Tm.Campaign.parse_repro token with
+  | Ok (Tm.Campaign.Run p) ->
+      check_bool "schedule and fault plan survive" true (p = o.Tm.Campaign.params);
+      check_bool "bit-for-bit replay" true (Tm.Campaign.run p = o)
+  | Ok (Tm.Campaign.Soak _) -> Alcotest.failf "%S parsed as a soak token" token
   | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (_, _, _, schedule', faults', _, _, _, _) ->
-      check_bool "schedule survives" true (schedule' = schedule);
-      check_bool "fault plan survives" true (faults' = fault_mix));
-  match Tm.Campaign.run_repro token with
-  | Error e -> Alcotest.failf "run_repro %S: %s" token e
-  | Ok o' -> check_bool "bit-for-bit replay" true (o = o')
 
 let test_fault_soup_generator () =
   let a = Tm.Campaign.fault_soup ~seed:5L ~budget:64 () in
@@ -329,7 +334,7 @@ let suite =
       test_udp_echo_fault_free_unchanged;
     Alcotest.test_case "campaign: fault mix, no violations" `Slow
       test_campaign_faults_no_violations;
-    Alcotest.test_case "campaign: 5-segment repro replays" `Slow
+    Alcotest.test_case "campaign: fault-plan repro replays" `Slow
       test_campaign_fault_repro_roundtrip;
     Alcotest.test_case "fault soup generator" `Quick test_fault_soup_generator;
   ]

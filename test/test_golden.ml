@@ -55,37 +55,53 @@ let check_golden name actual =
 (* {1 Campaign outcomes} *)
 
 let test_campaign_outcomes () =
-  let clean = C.run ~datapath:C.Xsk ~seed:7L ~budget:32 [] in
+  let clean = C.run { C.default with seed = 7L; budget = 32 } in
   let attacked =
-    C.run ~datapath:C.Xsk ~seed:7L ~budget:32
-      [
-        C.At { step = 4; attack = Hostos.Malice.Prod_overshoot };
-        C.During
-          {
-            first = 8;
-            last = 16;
-            probability = 1.0;
-            attack = Hostos.Malice.Misaligned_offset;
-          };
-      ]
+    C.run
+      {
+        C.default with
+        seed = 7L;
+        budget = 32;
+        schedule =
+          [
+            C.At { step = 4; attack = Hostos.Malice.Prod_overshoot };
+            C.During
+              {
+                first = 8;
+                last = 16;
+                probability = 1.0;
+                attack = Hostos.Malice.Misaligned_offset;
+              };
+          ];
+      }
   in
   let faulted =
-    C.run ~datapath:C.Iouring ~seed:11L ~budget:32
-      ~faults:
-        [
-          {
-            F.fault = F.Transient_errno;
-            when_ = F.Burst { first_step = 4; last_step = 16; probability = 1.0 };
-            shard = None;
-          };
-        ]
-      []
+    C.run
+      {
+        C.default with
+        datapath = C.Iouring;
+        seed = 11L;
+        budget = 32;
+        faults =
+          [
+            {
+              F.fault = F.Transient_errno;
+              when_ = F.Burst { first_step = 4; last_step = 16; probability = 1.0 };
+              shard = None;
+            };
+          ];
+      }
   in
   let sharded =
-    C.run ~datapath:C.Xsk ~seed:5L ~budget:32 ~queues:2
-      ~faults:
-        [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ]
-      []
+    C.run
+      {
+        C.default with
+        seed = 5L;
+        budget = 32;
+        queues = 2;
+        faults =
+          [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+      }
   in
   check_golden "campaign_outcomes"
     (Format.asprintf
@@ -154,174 +170,152 @@ let test_breaker_timeline () =
 (* {1 Repro tokens} *)
 
 let test_repro_tokens () =
-  let template = C.run ~datapath:C.Xsk ~seed:1L ~budget:4 [] in
+  let run p = C.Run p in
   let cases =
     [
-      ( "fault-free single queue (4 segments)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 42L;
-          budget = 64;
-          schedule = [ C.At { step = 3; attack = Hostos.Malice.Cons_regress } ];
-          fault_plan = [];
-          queues = 1;
-        } );
-      ( "fault plan (5 segments)",
-        {
-          template with
-          C.datapath = C.Iouring;
-          seed = 9L;
-          budget = 128;
-          schedule =
-            [
-              C.During
-                {
-                  first = 2;
-                  last = 30;
-                  probability = 0.25;
-                  attack = Hostos.Malice.Cqe_bogus_res;
-                };
-            ];
-          fault_plan =
-            [
-              { F.fault = F.Short_io; when_ = F.Probability 0.5; shard = None };
-              { F.fault = F.Monitor_crash; when_ = F.At_step 11; shard = None };
-            ];
-          queues = 1;
-        } );
-      ( "multi-queue, empty plan (6 segments)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 3L;
-          budget = 32;
-          schedule = [];
-          fault_plan = [];
-          queues = 4;
-        } );
-      ( "multi-queue, pinned persistent fault (6 segments)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 5L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
-            [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
-          queues = 2;
-        } );
-      ( "once-trigger with probability (5 segments)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 8L;
-          budget = 16;
-          schedule = [];
-          fault_plan =
-            [ { F.fault = F.Nic_stall; when_ = F.Once 0.75; shard = None } ];
-          queues = 1;
-        } );
-      ( "zero-copy, fault-free single queue (4 segments + zc)",
-        {
-          template with
-          C.datapath = C.Iouring;
-          seed = 23L;
-          budget = 48;
-          schedule =
-            [ C.At { step = 8; attack = Hostos.Malice.Forged_early_notif } ];
-          fault_plan = [];
-          queues = 1;
-          zerocopy = true;
-        } );
-      ( "zero-copy, multi-queue with fault plan (all 7 segments)",
-        {
-          template with
-          C.datapath = C.Iouring;
-          seed = 31L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
-            [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
-          queues = 2;
-          zerocopy = true;
-        } );
-      ( "overload control, fault-free single queue (4 segments + ov)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 13L;
-          budget = 24;
-          schedule = [ C.At { step = 5; attack = Hostos.Malice.Prod_overshoot } ];
-          fault_plan = [];
-          queues = 1;
-          overload = true;
-        } );
-      ( "overload + zero-copy, multi-queue with fault plan (all 8 segments)",
-        {
-          template with
-          C.datapath = C.Iouring;
-          seed = 17L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
-            [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 0 } ];
-          queues = 2;
-          zerocopy = true;
-          overload = true;
-        } );
-      ( "lossy wire, fault-free single queue (4 segments + wire)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 101L;
-          budget = 28;
-          schedule = [ C.At { step = 4; attack = Hostos.Malice.Replay } ];
-          fault_plan = [];
-          queues = 1;
-          wire = true;
-        } );
-      ( "overload + zero-copy + lossy wire, multi-queue (all 9 segments)",
-        {
-          template with
-          C.datapath = C.Iouring;
-          seed = 19L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
-            [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
-          queues = 2;
-          zerocopy = true;
-          overload = true;
-          wire = true;
-        } );
+      ( "fault-free single queue",
+        run
+          {
+            C.default with
+            seed = 42L;
+            budget = 64;
+            schedule = [ C.At { step = 3; attack = Hostos.Malice.Cons_regress } ];
+          } );
+      ( "fault plan",
+        run
+          {
+            C.default with
+            datapath = C.Iouring;
+            seed = 9L;
+            budget = 128;
+            schedule =
+              [
+                C.During
+                  {
+                    first = 2;
+                    last = 30;
+                    probability = 0.25;
+                    attack = Hostos.Malice.Cqe_bogus_res;
+                  };
+              ];
+            faults =
+              [
+                { F.fault = F.Short_io; when_ = F.Probability 0.5; shard = None };
+                { F.fault = F.Monitor_crash; when_ = F.At_step 11; shard = None };
+              ];
+          } );
+      ( "multi-queue, empty plan",
+        run { C.default with seed = 3L; budget = 32; queues = 4 } );
+      ( "multi-queue, pinned persistent fault",
+        run
+          {
+            C.default with
+            seed = 5L;
+            budget = 32;
+            faults =
+              [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+            queues = 2;
+          } );
+      ( "once-trigger with probability",
+        run
+          {
+            C.default with
+            seed = 8L;
+            budget = 16;
+            faults =
+              [ { F.fault = F.Nic_stall; when_ = F.Once 0.75; shard = None } ];
+          } );
+      ( "zero-copy, fault-free single queue",
+        run
+          {
+            C.default with
+            datapath = C.Iouring;
+            seed = 23L;
+            budget = 48;
+            schedule =
+              [ C.At { step = 8; attack = Hostos.Malice.Forged_early_notif } ];
+            zerocopy = true;
+          } );
+      ( "zero-copy, multi-queue with fault plan",
+        run
+          {
+            C.default with
+            datapath = C.Iouring;
+            seed = 31L;
+            budget = 32;
+            faults =
+              [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
+            queues = 2;
+            zerocopy = true;
+          } );
+      ( "overload control, fault-free single queue",
+        run
+          {
+            C.default with
+            seed = 13L;
+            budget = 24;
+            schedule = [ C.At { step = 5; attack = Hostos.Malice.Prod_overshoot } ];
+            overload = true;
+          } );
+      ( "overload + zero-copy, multi-queue with fault plan",
+        run
+          {
+            C.default with
+            datapath = C.Iouring;
+            seed = 17L;
+            budget = 32;
+            faults =
+              [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 0 } ];
+            queues = 2;
+            zerocopy = true;
+            overload = true;
+          } );
+      ( "lossy wire, fault-free single queue",
+        run
+          {
+            C.default with
+            seed = 101L;
+            budget = 28;
+            schedule = [ C.At { step = 4; attack = Hostos.Malice.Replay } ];
+            wire = true;
+          } );
+      ( "overload + zero-copy + lossy wire, multi-queue",
+        run
+          {
+            C.default with
+            datapath = C.Iouring;
+            seed = 19L;
+            budget = 32;
+            faults =
+              [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
+            queues = 2;
+            zerocopy = true;
+            overload = true;
+            wire = true;
+          } );
+      ( "soak, defaults",
+        C.Soak { C.default_soak with sk_seed = 42L; sk_steps = 2000 } );
+      ( "soak, custom SLO + lossy wire",
+        C.Soak
+          {
+            C.default_soak with
+            sk_steps = 12000;
+            sk_queues = 4;
+            sk_slo_p99 = 2_000_000L;
+            sk_wire = true;
+          } );
     ]
   in
   let buf = Buffer.create 512 in
   List.iter
-    (fun (label, o) ->
-      let token = C.repro o in
+    (fun (label, spec) ->
+      let token = C.repro spec in
       (* idempotence is part of the contract the golden pins down *)
       (match C.parse_repro token with
       | Error e -> Alcotest.failf "token %S failed to parse back: %s" token e
-      | Ok (dp, seed, budget, schedule, plan, queues, zc, ov, wire) ->
-          let again =
-            C.repro
-              {
-                o with
-                C.datapath = dp;
-                seed;
-                budget;
-                schedule;
-                fault_plan = plan;
-                queues;
-                zerocopy = zc;
-                overload = ov;
-                wire;
-              }
-          in
-          if again <> token then
-            Alcotest.failf "token not idempotent: %S -> %S" token again);
+      | Ok spec' ->
+          if spec' <> spec then
+            Alcotest.failf "token %S parses back to a different run" token);
       Buffer.add_string buf (Printf.sprintf "%s\n  %s\n" label token))
     cases;
   check_golden "repro_tokens" (Buffer.contents buf)
@@ -334,7 +328,7 @@ let test_repro_tokens () =
    {!C.failed} trips even though no integrity violation fired
    (docs/zerocopy.md, "dropped notif").  The golden pins the whole
    failure artifact — outcome, shrunk minimal schedule, and the
-   ":zc"-suffixed repro token. *)
+   [zc=1] repro token. *)
 
 let test_zc_dropped_notif_failure () =
   let schedule =
@@ -345,20 +339,25 @@ let test_zc_dropped_notif_failure () =
     ]
   in
   let o =
-    C.run ~datapath:C.Iouring ~seed:13L ~budget:32 ~zerocopy:true schedule
+    C.run
+      {
+        C.default with
+        datapath = C.Iouring;
+        seed = 13L;
+        budget = 32;
+        zerocopy = true;
+        schedule;
+      }
   in
   Alcotest.(check bool) "dropped notif fails the campaign" true (C.failed o);
   Alcotest.(check bool) "leak footprint, not integrity" true (o.C.zc_leaks > 0);
   let s = C.shrink_failure o in
-  let minimal =
-    C.run ~datapath:C.Iouring ~seed:13L ~budget:32 ~zerocopy:true
-      ~faults:s.C.shrunk_plan s.C.shrunk_schedule
-  in
-  let token = C.repro minimal in
+  let minimal = C.run s.C.shrunk in
+  let token = C.repro (C.Run s.C.shrunk) in
   Alcotest.(check bool)
-    (Printf.sprintf "token %S carries the zc segment" token)
+    (Printf.sprintf "token %S carries zc=1" token)
     true
-    (Filename.check_suffix token ":zc");
+    (Filename.check_suffix token ":zc=1");
   check_golden "zc_dropped_notif"
     (Format.asprintf
        "@[<v>== zero-copy io_uring campaign, dropped notif ==@,\
@@ -367,7 +366,7 @@ let test_zc_dropped_notif_failure () =
         %a@,\
         repro: %s@]@."
        C.pp_outcome o s.C.schedule_original
-       (List.length s.C.shrunk_schedule)
+       (List.length s.C.shrunk.schedule)
        s.C.shrink_tests C.pp_outcome minimal token)
 
 (* {1 Soak outcome}
@@ -376,14 +375,25 @@ let test_zc_dropped_notif_failure () =
    malice soup, DESIGN.md §15) is deterministic in (seed, steps,
    queues); the golden pins the entire rendered outcome — the
    accounting identity, the latency summary, the goodput windows and
-   the ["soak:<seed>:<steps>:q<n>"] repro line — so any drift in the
-   soak driver, the overload controller or the renderer shows up as a
-   byte diff. *)
+   the ["soak:seed=<seed>:steps=<steps>:q=<n>"] repro token — so any
+   drift in the soak driver, the overload controller or the renderer
+   shows up as a byte diff.  The token on the golden's first line is
+   then replayed and must reproduce the whole file byte for byte. *)
 
 let test_soak_outcome () =
-  let o = C.soak ~steps:2000 ~queues:2 ~seed:42L () in
+  let o = C.soak { C.default_soak with sk_seed = 42L; sk_steps = 2000 } in
   Alcotest.(check bool) "small soak passes its gates" false (C.soak_failed o);
-  check_golden "soak_outcome" (Format.asprintf "%a@." C.pp_soak_outcome o)
+  check_golden "soak_outcome" (Format.asprintf "%a@." C.pp_soak_outcome o);
+  let golden = read_file (Filename.concat golden_dir "soak_outcome.txt") in
+  match String.split_on_char ' ' golden with
+  | "soak" :: token :: _ -> (
+      match C.parse_repro token with
+      | Ok (C.Soak p) ->
+          Alcotest.(check string) "replayed golden token" golden
+            (Format.asprintf "%a@." C.pp_soak_outcome (C.soak p))
+      | Ok (C.Run _) -> Alcotest.failf "%S parsed as a campaign token" token
+      | Error e -> Alcotest.failf "golden token %S: %s" token e)
+  | _ -> Alcotest.fail "soak golden does not start with its token"
 
 (* {1 Explorer report} *)
 

@@ -411,21 +411,26 @@ let test_uring_persistent_fault_fstime_completes () =
 (* The acceptance criterion's last clause: the whole failover arc is
    reproducible from a campaign repro token.  The canonical plan opens
    the breaker on both datapaths, the run is violation-free, and the
-   token replays it bit-for-bit (fault plan embedded as the fifth
-   segment). *)
+   token replays it bit-for-bit (fault plan embedded as its [faults]
+   key). *)
 let test_campaign_failover_repro_roundtrip () =
   List.iter
     (fun dp ->
       let plan = Tm.Campaign.failover_plan ~datapath:dp ~budget:120 in
       let o =
-        Tm.Campaign.run ~datapath:dp ~seed:81L ~budget:120 ~faults:plan []
+        Tm.Campaign.run
+          { Tm.Campaign.default with datapath = dp; seed = 81L; budget = 120; faults = plan }
       in
       check_bool "no violations" false (Tm.Campaign.failed o);
       check_bool "breaker opened" true (o.Tm.Campaign.breaker_opens >= 1);
       check_bool "slow path served traffic" true (o.Tm.Campaign.slow_calls > 0);
-      match Tm.Campaign.run_repro (Tm.Campaign.repro o) with
-      | Error e -> Alcotest.failf "run_repro: %s" e
-      | Ok o' -> check_bool "bit-for-bit replay" true (o = o'))
+      match
+        Tm.Campaign.parse_repro (Tm.Campaign.repro (Tm.Campaign.Run o.Tm.Campaign.params))
+      with
+      | Ok (Tm.Campaign.Run p) ->
+          check_bool "bit-for-bit replay" true (Tm.Campaign.run p = o)
+      | Ok (Tm.Campaign.Soak _) -> Alcotest.fail "parsed as a soak token"
+      | Error e -> Alcotest.failf "parse_repro: %s" e)
     [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ]
 
 (* {1 Bare-runtime regressions (no slow path attached)} *)

@@ -213,7 +213,7 @@ let test_losses_counted_once () =
          (r.Apps.Udp_echo.datagrams - r.Apps.Udp_echo.echoed
         - r.Apps.Udp_echo.rdp_gave_up))
     r.Apps.Udp_echo.unaccounted;
-  let o = C.soak ~steps:800 ~queues:2 ~seed:7L () in
+  let o = C.soak { C.default_soak with sk_steps = 800; sk_seed = 7L } in
   check "soak residue is the owner's"
     (max 0 (o.C.sk_lost - o.C.sk_late - o.C.sk_accounted))
     o.C.sk_unaccounted
@@ -231,7 +231,15 @@ let soak_accounting =
     QCheck.(
       triple (int_range 800 2500) (int_range 1 2) (int_range 0 10_000))
     (fun (steps, queues, seed) ->
-      let o = C.soak ~steps ~queues ~seed:(Int64.of_int seed) () in
+      let o =
+        C.soak
+          {
+            C.default_soak with
+            sk_steps = steps;
+            sk_queues = queues;
+            sk_seed = Int64.of_int seed;
+          }
+      in
       (not o.C.sk_stalled)
       && o.C.sk_unaccounted = 0
       && o.C.sk_control_shed = 0)

@@ -2,7 +2,7 @@
    steering properties (QCheck), multi-shard traffic spread with
    per-shard exit accounting, fault and Malice containment to the
    targeted shard, per-shard Obs metric naming, and the campaign's
-   shard-aware six-segment repro tokens. *)
+   shard-aware repro tokens. *)
 
 module F = Hostos.Faults
 module H = Rakis.Health
@@ -253,51 +253,52 @@ let test_malice_contained_to_target_shard () =
 
 let test_campaign_shard_containment () =
   let o =
-    Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:91L ~budget:64 ~queues:2
-      ~faults:[ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ]
-      []
+    Tm.Campaign.run
+      {
+        Tm.Campaign.default with
+        seed = 91L;
+        queues = 2;
+        faults =
+          [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+      }
   in
   check_bool "no violations" false (Tm.Campaign.failed o);
-  check "queues recorded" 2 o.Tm.Campaign.queues;
+  check "queues recorded" 2 o.Tm.Campaign.params.queues;
   check "one opens entry per shard" 2 (List.length o.Tm.Campaign.shard_opens);
   check "untargeted shard never opened" 0 (List.nth o.Tm.Campaign.shard_opens 0)
 
 let test_campaign_repro_roundtrip_with_queues () =
-  let schedule =
-    [ Tm.Campaign.At { step = 10; attack = Hostos.Malice.Prod_overshoot } ]
+  let p =
+    {
+      Tm.Campaign.default with
+      seed = 33L;
+      budget = 48;
+      queues = 2;
+      schedule =
+        [ Tm.Campaign.At { step = 10; attack = Hostos.Malice.Prod_overshoot } ];
+    }
   in
-  let o =
-    Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:33L ~budget:48 ~queues:2
-      schedule
-  in
-  let token = Tm.Campaign.repro o in
-  check "six-segment token" 6
-    (List.length (String.split_on_char ':' token));
-  (match Tm.Campaign.parse_repro token with
-  | Ok (dp, seed, budget, _, faults, queues, _zc, _ov, _wire) ->
-      check_bool "datapath" true (dp = Tm.Campaign.Xsk);
-      Alcotest.(check int64) "seed" 33L seed;
-      check "budget" 48 budget;
-      check "no faults" 0 (List.length faults);
-      check "queues" 2 queues
-  | Error e -> Alcotest.failf "parse_repro: %s" e);
-  match Tm.Campaign.run_repro token with
-  | Error e -> Alcotest.failf "run_repro: %s" e
-  | Ok o' ->
+  let o = Tm.Campaign.run p in
+  let token = Tm.Campaign.repro (Tm.Campaign.Run p) in
+  Alcotest.(check string)
+    "token" "xsk:seed=33:budget=48:sched=10=prod-overshoot:q=2" token;
+  match Tm.Campaign.parse_repro token with
+  | Ok (Tm.Campaign.Run p') ->
+      check_bool "parses back" true (p' = p);
+      let o' = Tm.Campaign.run p' in
       check "replay ok count" o.Tm.Campaign.ok o'.Tm.Campaign.ok;
       check "replay refused count" o.Tm.Campaign.refused o'.Tm.Campaign.refused;
-      check "replay lost count" o.Tm.Campaign.lost o'.Tm.Campaign.lost;
-      check "replay queues" 2 o'.Tm.Campaign.queues
+      check "replay lost count" o.Tm.Campaign.lost o'.Tm.Campaign.lost
+  | Ok (Tm.Campaign.Soak _) -> Alcotest.fail "parsed as a soak token"
+  | Error e -> Alcotest.failf "parse_repro: %s" e
 
-(* Single-queue tokens must keep their historical shapes: growing the
-   token format must not orphan old bug reports. *)
-let test_single_queue_tokens_unchanged () =
-  let o =
-    Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:33L ~budget:48
-      [ Tm.Campaign.At { step = 10; attack = Hostos.Malice.Prod_overshoot } ]
-  in
-  check "four-segment token at queues=1" 4
-    (List.length (String.split_on_char ':' (Tm.Campaign.repro o)))
+(* Keys at their default stay out of the token: a single-queue run
+   carries no [q] key. *)
+let test_default_keys_omitted () =
+  Alcotest.(check string)
+    "single-queue token" "xsk:seed=33:budget=48"
+    (Tm.Campaign.repro
+       (Tm.Campaign.Run { Tm.Campaign.default with seed = 33L; budget = 48 }))
 
 let suite =
   [
@@ -314,8 +315,8 @@ let suite =
       test_malice_contained_to_target_shard;
     Alcotest.test_case "campaign: shard-targeted fault opens only its breaker"
       `Quick test_campaign_shard_containment;
-    Alcotest.test_case "campaign: 6-segment repro token round-trips" `Quick
+    Alcotest.test_case "campaign: multi-queue repro token round-trips" `Quick
       test_campaign_repro_roundtrip_with_queues;
-    Alcotest.test_case "campaign: single-queue tokens keep their shape" `Quick
-      test_single_queue_tokens_unchanged;
+    Alcotest.test_case "campaign: default keys stay out of tokens" `Quick
+      test_default_keys_omitted;
   ]

@@ -12,10 +12,9 @@
    runs the explorer's V1-V7 battery down random walks far deeper than
    the breadth-first bound.
 
-   Plus: repro-token fuzz — round-trips over all token segments (seed,
-   schedule, faults, queues, budget, shard pins, and the trailing
-   zero-copy "zc" flag) and a never-raises property for malformed
-   tokens. *)
+   Plus: repro-token fuzz — round-trips over every field of the
+   campaign and soak parameters (shard pins included) and a
+   never-raises property for malformed tokens. *)
 
 module C = Tm.Campaign
 module F = Hostos.Faults
@@ -424,50 +423,54 @@ let plan_entry_gen =
 let token_case_gen =
   QCheck.Gen.(
     let* datapath = oneofl [ C.Xsk; C.Iouring ] in
-    let* seed = map Int64.of_int (int_bound 1_000_000) in
+    let* seed = map Int64.of_int (int_range (-1_000_000) 1_000_000) in
     let* budget = int_range 1 99_999 in
     let* schedule = list_size (int_bound 4) entry_gen in
-    let* plan = list_size (int_bound 4) plan_entry_gen in
+    let* faults = list_size (int_bound 4) plan_entry_gen in
     let* queues = int_range 1 4 in
     let* zerocopy = bool in
-    return (datapath, seed, budget, schedule, plan, queues, zerocopy))
+    let* overload = bool in
+    let* wire = bool in
+    return
+      {
+        C.datapath;
+        seed;
+        budget;
+        queues;
+        schedule;
+        faults;
+        zerocopy;
+        overload;
+        wire;
+      })
 
-let print_token_case (dp, seed, budget, schedule, plan, queues, zerocopy) =
-  Printf.sprintf "%s:%Ld:%d:[%d entries]:%s:q%d%s"
-    (match dp with C.Xsk -> "xsk" | C.Iouring -> "io_uring")
-    seed budget (List.length schedule)
-    (F.plan_to_string plan)
-    queues
-    (if zerocopy then ":zc" else "")
+let soak_case_gen =
+  QCheck.Gen.(
+    let* sk_seed = map Int64.of_int (int_range (-1_000_000) 1_000_000) in
+    let* sk_steps = int_range 1 200_000 in
+    let* sk_queues = int_range 1 8 in
+    let* sk_slo_p99 =
+      oneof
+        [
+          return C.default_soak.sk_slo_p99;
+          map Int64.of_int (int_range 1 10_000_000);
+        ]
+    in
+    let* sk_wire = bool in
+    return { C.sk_seed; sk_steps; sk_queues; sk_slo_p99; sk_wire })
 
-(* One cheap template outcome; [repro] only reads the six identity
-   fields, so the fuzz rewrites those and never re-runs campaigns. *)
-let template =
-  lazy (C.run ~datapath:C.Xsk ~seed:1L ~budget:4 [])
-
-let token_roundtrip (datapath, seed, budget, schedule, plan, queues, zerocopy)
-    =
-  let o =
-    {
-      (Lazy.force template) with
-      C.datapath;
-      seed;
-      budget;
-      schedule;
-      fault_plan = plan;
-      queues;
-      zerocopy;
-    }
-  in
-  let token = C.repro o in
+(* Every field of the run's parameters survives the token. *)
+let token_roundtrip spec =
+  let token = C.repro spec in
   match C.parse_repro token with
   | Error e -> QCheck.Test.fail_reportf "parse failed on %S: %s" token e
-  | Ok (dp', seed', budget', schedule', plan', queues', zc', _ov', _wire') ->
-      dp' = datapath && seed' = seed && budget' = budget
-      && schedule' = schedule && plan' = plan && queues' = queues
-      && zc' = zerocopy
+  | Ok spec' -> spec' = spec
 
-let token_arb = QCheck.make ~print:print_token_case token_case_gen
+let token_arb =
+  QCheck.make ~print:(fun p -> C.repro (C.Run p)) token_case_gen
+
+let soak_token_arb =
+  QCheck.make ~print:(fun p -> C.repro (C.Soak p)) soak_case_gen
 
 (* malformed tokens: always a useful [Error], never an exception *)
 let garbage_arb =
@@ -478,31 +481,43 @@ let garbage_arb =
         [
           string_size ~gen:printable (int_bound 40);
           (* structurally close to valid: the nastier fuzz *)
-          (let* seed = small_int in
+          (let* kind = oneofl [ "xsk"; "io_uring"; "soak"; "walrus" ] in
+           let* seed = small_int in
            let* tail =
              oneofl
                [
                  "";
                  ":";
                  ":::::";
-                 ":notanumber:10:";
-                 ":5:x:";
-                 ":5:10:1=no-such-attack";
-                 ":5:10:1..=prod-overshoot";
-                 ":5:10::persist=no-such-fault";
-                 ":5:10::persist=drop-wakeup#x";
-                 ":5:10::@nan=transient-errno";
-                 ":5:10::;;";
-                 ":5:10::persist=drop-wakeup:q0";
-                 ":5:10::persist=drop-wakeup:qq";
-                 ":5:10::persist=drop-wakeup:q-1";
-                 ":5:10:99999999999999999999=prod-overshoot";
-                 ":5:10::persist=drop-wakeup:zc2";
-                 ":5:10::persist=drop-wakeup:q2:zc:zc";
-                 ":5:10:::q1:zc2";
+                 "=";
+                 ":seed";
+                 ":seed=";
+                 ":seed=notanumber";
+                 ":budget=x";
+                 ":budget=0";
+                 ":budget=-3";
+                 ":steps=ten";
+                 ":sched=1=no-such-attack";
+                 ":sched=1..=prod-overshoot";
+                 ":sched=;;";
+                 ":faults=persist=no-such-fault";
+                 ":faults=persist=drop-wakeup#x";
+                 ":faults=@nan=transient-errno";
+                 ":faults=;;";
+                 ":q=0";
+                 ":q=qq";
+                 ":q=-1";
+                 ":q=2:q=2";
+                 ":sched=99999999999999999999=prod-overshoot";
+                 ":zc=2";
+                 ":zc=1:zc=1";
+                 ":zc";
+                 ":slo=0";
+                 ":wire=yes";
+                 ":walrus=1";
                ]
            in
-           return (Printf.sprintf "xsk:%d%s" seed tail));
+           return (Printf.sprintf "%s:seed=%d%s" kind seed tail));
         ])
 
 let malformed_never_raises s =
@@ -531,22 +546,23 @@ let test_malformed_messages () =
             true
             (contains ~needle:fragment e))
     [
-      ("", "repro");
-      ("xsk", "repro");
-      ("walrus:5:10:", "repro header");
-      ("xsk:notanumber:10:", "repro header");
-      ("xsk:5:ten:", "repro header");
-      ("xsk:5:10:frob=prod-overshoot", "bad step");
-      ("xsk:5:10:1=no-such-attack", "unknown attack");
-      ("xsk:5:10:7", "schedule entry");
-      ("xsk:5:10::persist=no-such-fault", "unknown fault");
-      ("xsk:5:10::persist=drop-wakeup:q0", "queue segment");
-      ("xsk:5:10::persist=drop-wakeup:qx", "queue segment");
-      (* "zc2" is not the literal "zc": it lands in the queue-segment
-         position and must be named there, never silently accepted *)
-      ("xsk:5:10::persist=drop-wakeup:zc2", "queue segment");
-      (* a second "zc" survives the single strip and overflows *)
-      ("xsk:5:10::persist=drop-wakeup:q2:zc:zc", "repro string");
+      ("", "unknown run kind \"\"");
+      ("walrus:seed=5", "unknown run kind \"walrus\"");
+      ("xsk:5:10", "segment \"5\" is not key=value");
+      ("xsk:seed=5:walrus=1", "unknown key \"walrus\"");
+      ("soak:seed=5:sched=1=prod-overshoot", "unknown key \"sched\"");
+      ("xsk:seed=5:seed=6", "duplicate key \"seed\"");
+      ("xsk:seed=5:zc=1:zc=1", "duplicate key \"zc\"");
+      ("xsk:seed=notanumber", "bad value for seed");
+      ("xsk:seed=5:budget=ten", "bad value for budget");
+      ("xsk:seed=5:sched=frob=prod-overshoot", "bad step");
+      ("xsk:seed=5:sched=1=no-such-attack", "unknown attack");
+      ("xsk:seed=5:sched=7", "schedule entry");
+      ("xsk:seed=5:faults=persist=no-such-fault", "unknown fault");
+      ("xsk:seed=5:q=0", "bad value for q: \"0\" is not a positive integer");
+      ("xsk:seed=5:q=x", "bad value for q");
+      ("xsk:seed=5:zc=2", "bad value for zc: \"2\" is not 0 or 1");
+      ("soak:seed=5:slo=0", "bad value for slo");
     ]
 
 let q name arb prop =
@@ -560,7 +576,10 @@ let suite =
     q "stm: certified ring conforms to Stm_model.Ring" rcmds_arb ring_conforms;
     q "stm: product machine clean down random walks" walk_arb
       product_walk_clean;
-    q "token: six-segment repro round-trip" token_arb token_roundtrip;
+    q "token: campaign repro round-trip over every field" token_arb
+      (fun p -> token_roundtrip (C.Run p));
+    q "token: soak repro round-trip over every field" soak_token_arb
+      (fun p -> token_roundtrip (C.Soak p));
     q "token: malformed input never raises" garbage_arb malformed_never_raises;
     Alcotest.test_case "token: malformed messages are useful" `Quick
       test_malformed_messages;
