@@ -76,35 +76,6 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"N"
         ~doc:"Fault injector RNG seed (runs replay bit-for-bit per seed).")
 
-(* Degraded-mode knobs (DESIGN.md §9), threaded into the RAKIS config. *)
-let degraded_arg =
-  Arg.(
-    value
-    & opt bool Rakis.Config.default.Rakis.Config.degraded
-    & info [ "degraded" ] ~docv:"BOOL"
-        ~doc:
-          "Enable circuit breakers + exit-based slow-path failover \
-           (DESIGN.md §9).  $(b,--degraded=false) restores the PR 4 \
-           behaviour: persistent FIOKP failure surfaces as ETIMEDOUT.")
-
-let breaker_threshold_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "breaker-threshold" ] ~docv:"N"
-        ~doc:"Consecutive terminal failures that open a breaker.")
-
-let breaker_cooldown_arg =
-  Arg.(
-    value & opt (some int64) None
-    & info [ "breaker-cooldown" ] ~docv:"CYCLES"
-        ~doc:"Open-state cooldown before the first half-open probe.")
-
-let breaker_probes_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "breaker-probes" ] ~docv:"N"
-        ~doc:"Consecutive probe successes needed to close a breaker.")
-
 let zerocopy_arg =
   Arg.(
     value & flag
@@ -135,50 +106,11 @@ let overload_arg =
            so a flood dies at the host NIC.  Every refusal is counted \
            under overload.* in $(b,--metrics).  RAKIS environments only.")
 
-let slo_p99_arg =
-  Arg.(
-    value
-    & opt (some int64) None
-    & info [ "slo-p99" ] ~docv:"CYCLES"
-        ~doc:
-          "p99 latency objective in cycles for admitted requests (informs \
-           the controller's deadline shedding; default 2.4M = 1 ms).")
-
-let health_config_term =
-  let apply degraded threshold cooldown probes queues zerocopy overload slo_p99
-      =
-    let cfg =
-      {
-        Rakis.Config.default with
-        degraded;
-        num_queues = queues;
-        zerocopy;
-        overload;
-      }
-    in
-    let cfg =
-      match slo_p99 with
-      | Some v -> { cfg with Rakis.Config.slo_p99 = v }
-      | None -> cfg
-    in
-    let cfg =
-      match threshold with
-      | Some v -> { cfg with Rakis.Config.breaker_threshold = v }
-      | None -> cfg
-    in
-    let cfg =
-      match cooldown with
-      | Some v -> { cfg with Rakis.Config.breaker_cooldown = v }
-      | None -> cfg
-    in
-    match probes with
-    | Some v -> { cfg with Rakis.Config.breaker_probes = v }
-    | None -> cfg
+let config_term =
+  let apply num_queues zerocopy overload =
+    { Rakis.Config.default with num_queues; zerocopy; overload }
   in
-  Cmdliner.Term.(
-    const apply $ degraded_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-    $ breaker_probes_arg $ queues_arg $ zerocopy_arg $ overload_arg
-    $ slo_p99_arg)
+  Term.(const apply $ queues_arg $ zerocopy_arg $ overload_arg)
 
 (* The NIC must expose at least as many hardware queues as the config
    asks shards for. *)
@@ -357,7 +289,7 @@ let iperf_cmd =
   in
   Cmd.v (Cmd.info "iperf" ~doc:"iperf3-style UDP throughput (Figure 4a)")
     Term.(
-      const run $ env_arg $ health_config_term $ packets $ size $ streams
+      const run $ env_arg $ config_term $ packets $ size $ streams
       $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let iperf_tcp_cmd =
@@ -383,7 +315,7 @@ let iperf_tcp_cmd =
          "iperf3-style TCP bulk send, enclave as sender — the SEND_ZC \
           showcase; compare cycles/byte with and without $(b,--zerocopy)")
     Term.(
-      const run $ env_arg $ health_config_term $ mbytes $ chunk $ faults_arg
+      const run $ env_arg $ config_term $ mbytes $ chunk $ faults_arg
       $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let memcached_cmd =
@@ -403,7 +335,7 @@ let memcached_cmd =
   in
   Cmd.v (Cmd.info "memcached" ~doc:"memcached over UDP (Figure 4c)")
     Term.(
-      const run $ env_arg $ health_config_term $ threads $ ops $ faults_arg
+      const run $ env_arg $ config_term $ threads $ ops $ faults_arg
       $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let curl_cmd =
@@ -442,7 +374,7 @@ let redis_cmd =
   in
   Cmd.v (Cmd.info "redis" ~doc:"redis over TCP via io_uring (Figure 5b)")
     Term.(
-      const run $ env_arg $ health_config_term $ command $ ops $ conns
+      const run $ env_arg $ config_term $ command $ ops $ conns
       $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let fstime_cmd =
@@ -462,7 +394,7 @@ let fstime_cmd =
   in
   Cmd.v (Cmd.info "fstime" ~doc:"UnixBench fstime (Figure 5a)")
     Term.(
-      const run $ env_arg $ health_config_term $ block $ blocks $ read_mode
+      const run $ env_arg $ config_term $ block $ blocks $ read_mode
       $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let mcrypt_cmd =
@@ -530,7 +462,7 @@ let udp_echo_cmd =
           missing echo must be covered by an accounted loss counter, or \
           not happen at all")
     Term.(
-      const run $ env_arg $ health_config_term $ datagrams $ size $ flows
+      const run $ env_arg $ config_term $ datagrams $ size $ flows
       $ rdp $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let loadgen_cmd =
@@ -647,7 +579,7 @@ let loadgen_cmd =
           connection churn; exits 1 on silent (unaccounted) op loss.  \
           Pair with $(b,--overload) to exercise admission control")
     Term.(
-      const run $ env_arg $ health_config_term $ conns $ ops $ open_loop
+      const run $ env_arg $ config_term $ conns $ ops $ open_loop
       $ zipf $ flash_at $ flash_conns $ flash_ops $ churn $ seed $ threads
       $ rdp $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 

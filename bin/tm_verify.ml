@@ -394,7 +394,7 @@ let () =
         "seed for --soak (default 0x50AD5EED)" );
       ( "--slo-p99",
         Arg.String (fun s -> slo_p99 := Int64.of_string s),
-        "p99 SLO for --soak in cycles (default Config.default.slo_p99, \
+        "p99 SLO for --soak in cycles (default Config.slo_p99, \
          1 ms at 2.4 GHz)" );
       ( "--wire",
         Arg.Set wire,

@@ -27,6 +27,7 @@ let accounted t =
   | None -> 0)
   + Sim.Stats.get kstats "udp.no_socket_drops"
   + Sim.Stats.get kstats "udp.buffer_drops"
+  + Sim.Stats.get kstats "udp.close_drops"
   + Hostos.Nic.drops (Hostos.Kernel.nic t.kernel 0)
   + Hostos.Nic.drops (Hostos.Kernel.nic t.kernel 1)
 

@@ -32,8 +32,9 @@ val seconds : t -> float
 val accounted : t -> int
 (** Every datagram death with a counter, each counted once:
     {!Rakis.Runtime.accounted_losses} ([0] off RAKIS), the client
-    kernel's [udp.no_socket_drops] and [udp.buffer_drops], and both
-    NICs' queue overflows ({!Hostos.Nic.drops}). *)
+    kernel's [udp.no_socket_drops], [udp.buffer_drops] and
+    [udp.close_drops], and both NICs' queue overflows
+    ({!Hostos.Nic.drops}). *)
 
 val unaccounted : t -> missing:int -> int
 (** [max 0 (missing - accounted t)]: silent loss, which fails every

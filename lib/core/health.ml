@@ -68,10 +68,9 @@ let create ?obs ~name ~clock ~threshold ~cooldown ~probes_needed () =
   Obs.Metrics.set t.state_gauge (state_level Closed);
   t
 
-let of_config ?obs ~name ~clock (config : Config.t) =
-  create ?obs ~name ~clock ~threshold:config.Config.breaker_threshold
-    ~cooldown:config.Config.breaker_cooldown
-    ~probes_needed:config.Config.breaker_probes ()
+let of_config ?obs ~name ~clock () =
+  create ?obs ~name ~clock ~threshold:Config.breaker_threshold
+    ~cooldown:Config.breaker_cooldown ~probes_needed:Config.breaker_probes ()
 
 let name t = t.name
 

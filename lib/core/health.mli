@@ -58,10 +58,9 @@ val create :
     [opens] / [closes] / [failovers] / [probes] / [sheds] counters,
     plus a ["health"] trace instant per state transition. *)
 
-val of_config :
-  ?obs:Obs.t -> name:string -> clock:(unit -> int64) -> Config.t -> t
-(** {!create} with [breaker_threshold] / [breaker_cooldown] /
-    [breaker_probes] taken from the runtime configuration. *)
+val of_config : ?obs:Obs.t -> name:string -> clock:(unit -> int64) -> unit -> t
+(** {!create} with {!Config.breaker_threshold} /
+    {!Config.breaker_cooldown} / {!Config.breaker_probes}. *)
 
 val name : t -> string
 

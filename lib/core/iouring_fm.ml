@@ -38,7 +38,6 @@ type ms = {
 type zc = {
   pool : Umem.t;
   arena : Mem.Ptr.t;
-  zframe : int; (* bytes per pool frame *)
   notif_pending : (int64, notif_rec) Hashtbl.t;
   ms_by_fd : (int, ms) Hashtbl.t;
   ms_by_ud : (int64, ms) Hashtbl.t;
@@ -71,14 +70,12 @@ type t = {
   mutable sq_full_streak : int;
   mutable breaker : Health.t option;
   max_pending : int;
-  sync_op_timeout : int64;
   sheds : Obs.Metrics.counter;
   cqe_rejects : Obs.Metrics.counter;
   sqes_submitted : Obs.Metrics.counter;
   cqes_reaped : Obs.Metrics.counter;
   cqe_strays : Obs.Metrics.counter;
   sync_wait_cycles : Obs.Metrics.histogram; (* submit->complete, cycles *)
-  retry_limit : int;
   backoff : Sim.Backoff.t;
   retries : Obs.Metrics.counter;
   retry_success : Obs.Metrics.counter;
@@ -119,7 +116,7 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
   if fd < 0 then Error (Bad_fd fd)
   else
     let entries = config.Config.uring_entries in
-    let zc_size = config.Config.zc_frames * config.Config.zc_frame_size in
+    let zc_size = Config.zc_frames * Config.zc_frame_size in
     let* sq =
       certify_layout "iSub" ~entry_size:Abi.Uring_abi.sqe_size ~size:entries
         (Hostos.Io_uring.sq_layout uring)
@@ -183,21 +180,19 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
         sq_full_streak = 0;
         breaker = None;
         max_pending = config.Config.max_pending;
-        sync_op_timeout = config.Config.sync_op_timeout;
         sheds = Obs.Metrics.counter m (name ^ ".sheds");
         cqe_rejects = Obs.Metrics.counter m (name ^ ".cqe_rejects");
         sqes_submitted = Obs.Metrics.counter m (name ^ ".sqes_submitted");
         cqes_reaped = Obs.Metrics.counter m (name ^ ".cqes_reaped");
         cqe_strays = Obs.Metrics.counter m (name ^ ".cqe_strays");
         sync_wait_cycles = Obs.Metrics.histogram m (name ^ ".sync_wait_cycles");
-        retry_limit = config.Config.retry_limit;
         backoff =
           (* Seeded by the FM's name, not a global counter: replayed
              campaign runs create FMs in the same order with the same
              names, so retry timing is reproducible bit-for-bit. *)
           Sim.Backoff.create
             ~seed:(Int64.of_int (Hashtbl.hash name))
-            ~base:config.Config.backoff_base ~cap:config.Config.backoff_cap ();
+            ~base:Config.backoff_base ~cap:Config.backoff_cap ();
         retries = Obs.Metrics.counter m (name ^ ".retries");
         retry_success = Obs.Metrics.counter m (name ^ ".retry_success");
         retry_exhausted = Obs.Metrics.counter m (name ^ ".retry_exhausted");
@@ -208,9 +203,8 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
               {
                 pool =
                   Umem.create ?obs ~name:(name ^ ".zc") ~size:zc_size
-                    ~frame_size:config.Config.zc_frame_size ();
+                    ~frame_size:Config.zc_frame_size ();
                 arena = a;
-                zframe = config.Config.zc_frame_size;
                 notif_pending = Hashtbl.create 8;
                 ms_by_fd = Hashtbl.create 4;
                 ms_by_ud = Hashtbl.create 4;
@@ -395,7 +389,7 @@ let zc_cqe t (cqe : Abi.Uring_abi.cqe) =
                  Obs.Metrics.incr t.cqe_rejects
                else begin
                  let bid = Abi.Uring_abi.cqe_buffer_id cqe.flags in
-                 let off = bid * z.zframe in
+                 let off = bid * Config.zc_frame_size in
                  match Umem.reclaim z.pool Rx ~offset:off ~len:cqe.res () with
                  | Error _ ->
                      (* Bogus buffer id / oversize count: the pool's
@@ -418,7 +412,7 @@ let zc_cqe t (cqe : Abi.Uring_abi.cqe) =
                      (match Umem.alloc z.pool with
                      | Some noff ->
                          Umem.commit z.pool noff Rx;
-                         z.provide (noff / z.zframe)
+                         z.provide (noff / Config.zc_frame_size)
                      | None -> ())
                end
              end
@@ -591,7 +585,7 @@ let submit_wait_once t sqe ~expected_max =
       let start = Sim.Engine.now engine in
       let deadline =
         if prompt_class sqe.Abi.Uring_abi.opcode then
-          Some (Int64.add start t.sync_op_timeout)
+          Some (Int64.add start Config.sync_op_timeout)
         else None
       in
       (* The synchronous caller hands off to the kernel worker and pays
@@ -617,7 +611,7 @@ let submit_wait_once t sqe ~expected_max =
 let submit_wait t sqe ~expected_max =
   (* Probe mode (Health half-open): one attempt, no retry budget — a
      probe exists to answer "did the FIOKP heal?" cheaply, not to win. *)
-  let limit = if t.probe_mode then 0 else t.retry_limit in
+  let limit = if t.probe_mode then 0 else Config.retry_limit in
   let rec attempt n =
     match submit_wait_once t sqe ~expected_max with
     | Error e when Abi.Errno.is_transient e ->
@@ -774,7 +768,7 @@ let zc_submit_wait t z sqe ~expected_max ~zoff =
       let engine = Sgx.Enclave.engine t.enclave in
       let start = Sim.Engine.now engine in
       Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
-      let r = await ~deadline:(Int64.add start t.sync_op_timeout) t p in
+      let r = await ~deadline:(Int64.add start Config.sync_op_timeout) t p in
       Obs.Metrics.observe t.sync_wait_cycles
         (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
       (match t.trace with
@@ -803,7 +797,7 @@ let zc_send t z ~fd ~buf ~pos ~len =
             send_copy t ~fd ~buf ~pos ~len
           end
       | Some zoff -> (
-          let chunk = min z.zframe (len - done_) in
+          let chunk = min Config.zc_frame_size (len - done_) in
           Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
           Mem.Region.blit_from_bytes buf (pos + done_) z.arena.Mem.Ptr.region
             (z.arena.Mem.Ptr.off + zoff)
@@ -816,7 +810,7 @@ let zc_send t z ~fd ~buf ~pos ~len =
               addr = z.arena.Mem.Ptr.off + zoff;
               len = chunk;
               fixed = true;
-              buf_index = zoff / z.zframe;
+              buf_index = zoff / Config.zc_frame_size;
             }
           in
           match zc_submit_wait t z sqe ~expected_max:chunk ~zoff with
@@ -846,7 +840,7 @@ let zc_file t z ~opcode ~fd ~off ~buf ~pos ~len ~read_back =
       match Umem.alloc z.pool with
       | None -> if done_ > 0 then Ok done_ else Error Abi.Errno.EAGAIN
       | Some zoff -> (
-          let chunk = min z.zframe (len - done_) in
+          let chunk = min Config.zc_frame_size (len - done_) in
           if not read_back then begin
             Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
             Mem.Region.blit_from_bytes buf (pos + done_)
@@ -861,7 +855,7 @@ let zc_file t z ~opcode ~fd ~off ~buf ~pos ~len ~read_back =
               addr = z.arena.Mem.Ptr.off + zoff;
               len = chunk;
               fixed = true;
-              buf_index = zoff / z.zframe;
+              buf_index = zoff / Config.zc_frame_size;
             }
           in
           match submit_wait t sqe ~expected_max:chunk with
@@ -896,15 +890,18 @@ let ms_arm t z ~fd =
     | None -> provided := budget
     | Some off ->
         Umem.commit z.pool off Rx;
-        z.provide (off / z.zframe);
+        z.provide (off / Config.zc_frame_size);
         incr provided
   done;
   if !provided = 0 then false
   else
     match
       submit t
-        { (base_sqe Abi.Uring_abi.Recv_multi ~fd) with len = z.zframe }
-        ~expected_max:z.zframe
+        {
+          (base_sqe Abi.Uring_abi.Recv_multi ~fd) with
+          len = Config.zc_frame_size;
+        }
+        ~expected_max:Config.zc_frame_size
     with
     | Error _ ->
         (* Could not arm; the provided frames stay in the shared ring

@@ -188,7 +188,7 @@ val accounted_losses : t -> int
 
 val set_slow_path : t -> Syncproxy.slow_ops -> unit
 (** Install the exit-based io_uring slow path; applied to every existing
-    and future {!new_thread} SyncProxy when [config.degraded]. *)
+    and future {!new_thread} SyncProxy. *)
 
 val set_udp_slow_path : t -> slow_udp -> unit
 (** Install the exit-based UDP slow path.  Until this is called the XSK
@@ -322,11 +322,10 @@ val start_watchdog : t -> unit
     Monitor Module's liveness ({!Monitor.alive} / {!Monitor.last_beat});
     on a crash or a beat staler than {!Sgx.Params.watchdog_timeout} it
     runs one degraded scan from inside the enclave and restarts that MM.
-    When [config.degraded], restarts additionally go through the MM
-    breaker ({!mm_breaker}): persistently dying Monitors open it and
-    stop earning restarts (scans continue), half-open probes are restart
-    attempts, and sustained healthy periods — no shard MM unhealthy —
-    close it again.  Call after installing a fault injector
+    Restarts go through the MM breaker ({!mm_breaker}): persistently
+    dying Monitors open it and stop earning restarts (scans continue),
+    half-open probes are restart attempts, and sustained healthy periods
+    — no shard MM unhealthy — close it again.  Call after installing a fault injector
     ({!Hostos.Kernel.set_faults}) — its periodic timer keeps the event
     queue alive, so fault-free runs that terminate on queue exhaustion
     should not start it. *)

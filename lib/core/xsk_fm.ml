@@ -17,7 +17,6 @@ type t = {
   rx_notify : Sim.Condition.t;
   compl_notify : Sim.Condition.t;
   rx_scratch : Bytes.t; (* trusted staging frame, reused per packet *)
-  rx_burst : int;
   mutable kick : unit -> unit;
   mutable renudge : unit -> unit; (* forced TX wakeup via the MM *)
   mutable republish : unit -> unit; (* OCALL: kernel re-enter + republish *)
@@ -181,14 +180,13 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
           (Sgx.Enclave.charge_copy enclave ~crossing:false
              config.Config.frame_size;
            Bytes.create config.Config.frame_size);
-        rx_burst = min config.Config.rx_burst config.Config.ring_size;
         kick = (fun () -> ());
         renudge = (fun () -> ());
         republish = (fun () -> ());
         backoff =
           Sim.Backoff.create
             ~seed:(Int64.of_int (Hashtbl.hash name))
-            ~base:config.Config.backoff_base ~cap:config.Config.backoff_cap ();
+            ~base:Config.backoff_base ~cap:Config.backoff_cap ();
         failure_mark = 0;
         failure_base = 0;
         rekick_armed = false;
@@ -366,7 +364,9 @@ let reap_completions t =
    or refused); 0 when xRX was empty. *)
 let rx_burst t =
   let moved =
-    Rings.Certified.consume_batch t.rx ~max:t.rx_burst ~read:(fun ~slot_off _ ->
+    Rings.Certified.consume_batch t.rx
+      ~max:(min Config.rx_burst t.config.Config.ring_size)
+      ~read:(fun ~slot_off _ ->
         let offset, len =
           Abi.Xsk_desc.decode
             (Mem.Region.get_u64 (Rings.Certified.region t.rx) slot_off)
@@ -446,7 +446,7 @@ let maybe_reinit t =
        smashes, probabilistic attacks) never accumulate to a reinit;
        only an uninterrupted run of failing iterations does. *)
     t.failure_base <- f
-  else if f - t.failure_base >= t.config.Config.reinit_threshold then begin
+  else if f - t.failure_base >= Config.reinit_threshold then begin
     t.failure_base <- f;
     reinit t
   end;
@@ -636,7 +636,7 @@ let transmit t frame =
           acquire (tries - 1)
     in
     let under_pressure = t.pressure () in
-    let tries = if under_pressure then 1 else 2 * t.config.Config.retry_limit in
+    let tries = if under_pressure then 1 else 2 * Config.retry_limit in
     match acquire tries with
     | None ->
         Obs.Metrics.incr t.tx_frame_drops;

@@ -168,7 +168,7 @@ val tx_rekicks : t -> int
 
 val reinits : t -> int
 (** Quarantine-and-reinit episodes: persistent certified-ring failures
-    (≥ [config.reinit_threshold] across consecutive iterations)
+    (≥ {!Config.reinit_threshold} across consecutive iterations)
     triggered a ring resync (["<name>.reinits"]). *)
 
 val reinit_reclaimed : t -> int

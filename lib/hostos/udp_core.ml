@@ -155,6 +155,11 @@ let pending sock = Sim.Mailbox.length sock.rxq
 
 let close t sock =
   sock.closed <- true;
+  (* Datagrams still queued die with the socket: count them, or a reply
+     that arrived after its reader gave up is a silent loss. *)
+  let queued = Sim.Mailbox.length sock.rxq in
+  if queued > 0 then
+    Sim.Stats.add (Sim.Engine.stats t.engine) "udp.close_drops" queued;
   match sock.bound with
   | Some (_, port) -> Hashtbl.remove t.by_port port
   | None -> ()

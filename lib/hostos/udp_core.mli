@@ -40,6 +40,8 @@ val readable : sock -> bool
 val pending : sock -> int
 
 val close : t -> sock -> unit
+(** Unbind and close.  Datagrams still queued are discarded and counted
+    under [udp.close_drops]. *)
 
 val stack_input : t -> Nic.t -> Bytes.t -> unit
 (** Kernel network-stack entry point, called from a NIC receive-queue

@@ -13,8 +13,8 @@
 type t
 
 val create : ?seed:int64 -> base:int64 -> cap:int64 -> unit -> t
-(** [base] and [cap] in cycles (e.g. [Rakis.Config.t]'s [backoff_base] /
-    [backoff_cap]).  Raises [Invalid_argument] unless
+(** [base] and [cap] in cycles (e.g. [Rakis.Config.backoff_base] /
+    [Rakis.Config.backoff_cap]).  Raises [Invalid_argument] unless
     [0 < base <= cap]. *)
 
 val next : t -> int64

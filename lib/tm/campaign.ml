@@ -77,7 +77,7 @@ let default_soak =
     sk_seed = 0x50AD5EEDL;
     sk_steps = 100_000;
     sk_queues = 2;
-    sk_slo_p99 = Rakis.Config.default.Rakis.Config.slo_p99;
+    sk_slo_p99 = Rakis.Config.slo_p99;
     sk_wire = false;
   }
 
@@ -1058,7 +1058,6 @@ let soak
       umem_size = 2048 * 2048;
       num_queues = queues;
       overload = true;
-      slo_p99;
     }
   in
   match Apps.Harness.make Libos.Env.Rakis_sgx ~rakis_config:config () with

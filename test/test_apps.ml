@@ -249,6 +249,44 @@ let test_mcrypt_compute_bound () =
   check_bool "gramine within 25% of native" true (gramine < 1.25 *. native);
   check_bool "rakis faster than gramine-sgx" true (rakis < gramine)
 
+(* {1 Loss accounting} *)
+
+(* A host UDP socket closed with datagrams still queued (a client
+   recycling a timed-out connection) must count each one: they are
+   deaths, and the harness's loss owner has to explain them. *)
+let test_close_drops_accounted () =
+  let h = harness Libos.Env.Native () in
+  let api = Apps.Harness.api h and peer = h.Apps.Harness.peer in
+  let kstats = Sim.Engine.stats h.Apps.Harness.engine in
+  let n = 5 in
+  let delta = ref None in
+  Sim.Engine.spawn h.Apps.Harness.engine (fun () ->
+      let server = api.Libos.Api.udp_socket () in
+      let dst = (Packet.Addr.Ip.of_repr "10.0.0.1", 7777) in
+      (match api.Libos.Api.bind server dst with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "bind: %a" Abi.Errno.pp e);
+      let client = peer.Libos.Api.udp_socket () in
+      for i = 1 to n do
+        match peer.Libos.Api.sendto client (Bytes.make 32 (Char.chr i)) dst with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "sendto: %a" Abi.Errno.pp e
+      done;
+      Sim.Engine.delay (Sim.Cycles.of_us 1000.);
+      let before = Apps.Harness.accounted h in
+      ignore (api.Libos.Api.close server);
+      delta :=
+        Some
+          ( Sim.Stats.get kstats "udp.close_drops",
+            Apps.Harness.accounted h - before );
+      Apps.Harness.stop h);
+  Apps.Harness.run ~until:(Sim.Cycles.of_sec 1.) h;
+  match !delta with
+  | None -> Alcotest.fail "script did not finish"
+  | Some (close_drops, accounted) ->
+      check "udp.close_drops" n close_drops;
+      check "Harness.accounted grows by the queued datagrams" n accounted
+
 let suite =
   [
     ("helloworld: same output everywhere", `Quick,
@@ -280,4 +318,6 @@ let suite =
      test_mcrypt_same_ciphertext_everywhere);
     ("mcrypt: compute-bound parity (C6 direction)", `Slow,
      test_mcrypt_compute_bound);
+    ("accounting: socket close counts queued datagrams", `Quick,
+     test_close_drops_accounted);
   ]

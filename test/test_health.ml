@@ -248,10 +248,10 @@ let test_breaker_out_of_band_counters () =
 
 let test_breaker_of_config () =
   let now = ref 0L in
-  let b = H.of_config ~name:"cfg" ~clock:(fun () -> !now) Rakis.Config.default in
+  let b = H.of_config ~name:"cfg" ~clock:(fun () -> !now) () in
   check_bool "closed at boot" true (H.state b = H.Closed);
   Alcotest.(check string) "named" "cfg" (H.name b);
-  for _ = 1 to Rakis.Config.default.Rakis.Config.breaker_threshold do
+  for _ = 1 to Rakis.Config.breaker_threshold do
     H.record_failure b
   done;
   check_bool "config threshold applies" true (H.state b = H.Open)
