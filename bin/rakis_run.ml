@@ -565,18 +565,28 @@ let loadgen_cmd =
     Format.printf "%a@." Apps.Loadgen.pp_stats s;
     report_faults h injector;
     report ~metrics ?trace_file h;
+    let verdict = Apps.Harness.fast_path_verdict h in
+    if verdict <> Apps.Harness.Not_applicable then
+      Format.printf "fast path: %a@." Apps.Harness.pp_fast_path verdict;
     if s.Apps.Loadgen.unaccounted > 0 then begin
       Format.eprintf "FAIL: %d ops silently lost (unaccounted)@."
         s.Apps.Loadgen.unaccounted;
       exit 1
-    end
+    end;
+    match verdict with
+    | Apps.Harness.Broken _ ->
+        Format.eprintf "FAIL: an honest run left the fast path@.";
+        exit 1
+    | Apps.Harness.Held | Apps.Harness.Not_applicable -> ()
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "KV load generator over the XSK datapath (DESIGN.md §15): Zipf \
           key popularity, open- or closed-loop arrival, flash crowds and \
-          connection churn; exits 1 on silent (unaccounted) op loss.  \
+          connection churn; exits 1 on silent (unaccounted) op loss, or \
+          when an honest RAKIS run takes an enclave exit after boot (or a \
+          slow-path call, breaker open or ring-check failure).  \
           Pair with $(b,--overload) to exercise admission control")
     Term.(
       const run $ env_arg $ config_term $ conns $ ops $ open_loop

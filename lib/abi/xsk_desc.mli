@@ -16,7 +16,11 @@ val decode : int64 -> int * int
 (** [decode d] is [(offset, len)].  Total: any bit pattern decodes, as
     untrusted input must. *)
 
+val decode_len : int64 -> int
+(** [snd (decode d)], without the pair. *)
+
 val encode_offset : int -> int64
 (** For xFill/xCompl entries ([len] = 0). *)
 
 val decode_offset : int64 -> int
+(** [fst (decode d)]: the offset of any entry. *)

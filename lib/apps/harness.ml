@@ -32,3 +32,48 @@ let accounted t =
   + Hostos.Nic.drops (Hostos.Kernel.nic t.kernel 1)
 
 let unaccounted t ~missing = max 0 (missing - accounted t)
+
+type fast_path = Held | Broken of string list | Not_applicable
+
+let fast_path_verdict t =
+  match Libos.Env.runtime t.env with
+  | None -> Not_applicable
+  | Some _
+    when Hostos.Kernel.faults t.kernel <> None
+         || Hostos.Kernel.malice t.kernel <> None ->
+      Not_applicable
+  | Some rt ->
+      let module R = Rakis.Runtime in
+      let breakers =
+        R.uring_breaker rt :: R.mm_breaker rt
+        :: List.init (R.shard_count rt) (R.shard_breaker rt)
+      in
+      let metrics = Obs.metrics (R.obs rt) in
+      let opens =
+        List.fold_left (fun acc b -> acc + Rakis.Health.opens b) 0 breakers
+      in
+      let clauses =
+        [
+          ( "enclave exits after boot",
+            Libos.Env.exits t.env - R.setup_exits rt );
+          ( "health.slow_calls",
+            Obs.Metrics.get_counter metrics "health.slow_calls" );
+          ("breaker opens", opens);
+          ("ring-check failures", R.total_ring_check_failures rt);
+          ("descriptor/CQE rejects", R.total_desc_rejects rt);
+        ]
+      in
+      match
+        List.filter_map
+          (fun (what, n) ->
+            if n = 0 then None else Some (Printf.sprintf "%s %d" what n))
+          clauses
+      with
+      | [] -> Held
+      | broken -> Broken broken
+
+let pp_fast_path ppf = function
+  | Held -> Format.fprintf ppf "held"
+  | Broken clauses ->
+      Format.fprintf ppf "BROKEN (%s)" (String.concat ", " clauses)
+  | Not_applicable -> Format.fprintf ppf "n/a (not an honest RAKIS run)"

@@ -40,3 +40,20 @@ val unaccounted : t -> missing:int -> int
 (** [max 0 (missing - accounted t)]: silent loss, which fails every
     gate.  [missing] is what the client books cannot explain (lost -
     late - RDP give-ups). *)
+
+(** {1 The paper's headline claim as an end-of-run verdict} *)
+
+type fast_path =
+  | Held
+  | Broken of string list  (** one entry per failed clause, with its count *)
+  | Not_applicable  (** not a RAKIS environment, or not an honest host *)
+
+val fast_path_verdict : t -> fast_path
+(** Once the datapath is up, RAKIS serves I/O with zero enclave exits
+    (paper §4, Figure 2).  On an honest host — no fault plan (hence no
+    wire weather) and no malice installed — a RAKIS run holds the
+    verdict iff it shows no enclave exit beyond
+    {!Rakis.Runtime.setup_exits}, no [health.slow_calls], no breaker
+    open, no ring-check failure and no descriptor/CQE reject. *)
+
+val pp_fast_path : Format.formatter -> fast_path -> unit

@@ -10,7 +10,9 @@
 type t = {
   ip : Packet.Addr.Ip.t;  (** the enclave's IP (defaults to iface 0's) *)
   mac : Packet.Addr.Mac.t;  (** the enclave's MAC *)
-  num_xsks : int;  (** one FM thread per XSK (paper §4.1 QoS) *)
+  num_xsks : int;
+      (** XSKs per shard, one FM thread each (paper §4.1 QoS); a shard
+          builds at most one XSK per NIC queue the shard owns *)
   num_queues : int;
       (** datapath shards: each shard owns one set of XSKs + UMem, its
           own in-enclave stack instance and its own Monitor, and serves

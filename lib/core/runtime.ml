@@ -47,6 +47,10 @@ type t = {
      (io_uring FMs are per-thread, not per-queue — same scoping as the
      uring breaker). *)
   uring_overload : Overload.t option;
+  (* Enclave exits spent on setup (XSK creation and attach, io_uring
+     creation and buffer registration): the boot floor an honest run
+     never rises above. *)
+  setup_exits : Obs.Metrics.counter;
   mutable slow_ops : Syncproxy.slow_ops option;
   mutable slow_udp : slow_udp option;
   mutable udp_socks : udp_sock list;
@@ -62,11 +66,23 @@ and udp_sock = {
      is collision-free everywhere. *)
   mutable bound : Netstack.Udp_socket.t array;
   mutable host_fd : int option; (* exit-based fallback socket, same port *)
+  mutable next_shard : int; (* where the next oldest-head scan starts *)
+  (* The [bound] sockets' activity conditions, built at bind: readers
+     park on them once per wait. *)
+  mutable activity : Sim.Condition.t list;
+  mutable activity_set : Sim.Condition.set;
 }
 
 and thread = { runtime : t; proxy : Syncproxy.t }
 
 let enclave t = t.enclave
+
+let setup_exits t = Obs.Metrics.value t.setup_exits
+
+(* One OCALL of setup work, booked against the boot floor. *)
+let setup_ocall enclave counter =
+  Obs.Metrics.incr counter;
+  Sgx.Enclave.ocall enclave
 
 let kernel t = t.kernel
 
@@ -177,21 +193,22 @@ let any_shard_degraded t =
   Array.exists (fun s -> Health.degraded s.sh_breaker) t.shards
 
 let xdp_program t shard frame =
-  let degraded () = xsk_failover_ready t && Health.degraded shard.sh_breaker in
-  let arp_degraded () = xsk_failover_ready t && any_shard_degraded t in
-  match Packet.Frame.peek_udp_ports frame with
-  | Some (_, dst_port) when Hashtbl.mem t.owned_ports dst_port ->
-      if degraded () then Hostos.Xdp.Pass else Hostos.Xdp.Redirect
-  | Some _ -> Hostos.Xdp.Pass
-  | None -> (
-      match Packet.Eth.parse frame with
-      | Ok { ethertype = Arp; payload; _ } -> (
-          match Packet.Arp.parse payload with
-          | Ok arp when Packet.Addr.Ip.equal arp.target_ip t.config.Config.ip
-            ->
-              if arp_degraded () then Hostos.Xdp.Pass else Hostos.Xdp.Redirect
-          | Ok _ | Error _ -> Hostos.Xdp.Pass)
-      | Ok _ | Error _ -> Hostos.Xdp.Pass)
+  let dst_port = Packet.Frame.peek_udp_dst_port frame in
+  if dst_port >= 0 then
+    if not (Hashtbl.mem t.owned_ports dst_port) then Hostos.Xdp.Pass
+    else if xsk_failover_ready t && Health.degraded shard.sh_breaker then
+      Hostos.Xdp.Pass
+    else Hostos.Xdp.Redirect
+  else
+    match Packet.Eth.parse frame with
+    | Ok { ethertype = Arp; payload; _ } -> (
+        match Packet.Arp.parse payload with
+        | Ok arp when Packet.Addr.Ip.equal arp.target_ip t.config.Config.ip ->
+            if xsk_failover_ready t && any_shard_degraded t then
+              Hostos.Xdp.Pass
+            else Hostos.Xdp.Redirect
+        | Ok _ | Error _ -> Hostos.Xdp.Pass)
+    | Ok _ | Error _ -> Hostos.Xdp.Pass
 
 (* {1 XSK failover (DESIGN.md §9)} *)
 
@@ -302,6 +319,11 @@ let failover_transmit t shard frame =
    ([shard.probing]) must reach the FM: its completion (or rekick
    timeout) is the very signal the breaker is waiting on to fail back
    (or re-open). *)
+let rec try_fms fms frame ~start i =
+  i < Array.length fms
+  && (Xsk_fm.transmit fms.((start + i) mod Array.length fms) frame
+     || try_fms fms frame ~start (i + 1))
+
 let stack_transmit t shard frame =
   if
     xsk_failover_ready t
@@ -310,16 +332,9 @@ let stack_transmit t shard frame =
     && failover_transmit t shard frame
   then shard.last_tx_ok <- true
   else begin
-    let n = Array.length shard.sh_fms in
     let start = shard.tx_counter in
     shard.tx_counter <- shard.tx_counter + 1;
-    let rec try_fm i =
-      if i >= n then shard.last_tx_ok <- false
-      else if Xsk_fm.transmit shard.sh_fms.((start + i) mod n) frame then
-        shard.last_tx_ok <- true
-      else try_fm (i + 1)
-    in
-    try_fm 0
+    shard.last_tx_ok <- try_fms shard.sh_fms frame ~start 0
   end
 
 let shared_arena_size config =
@@ -366,6 +381,9 @@ let boot kernel ~sgx ?(config = Config.default) () =
           ()
       in
       let sharded = num_queues > 1 in
+      let setup_exits =
+        Obs.Metrics.counter (Obs.metrics obs) "sgx.setup_exits"
+      in
       (* One ARP cache for all shard stacks: ARP frames have no 4-tuple,
          RSS pins them to queue 0, so only shard 0 ever hears replies —
          a private per-shard cache would deadlock resolution. *)
@@ -391,12 +409,17 @@ let boot kernel ~sgx ?(config = Config.default) () =
               ?name:(if sharded then Some (Printf.sprintf "mm.%d" k) else None)
               ~shard:k engine ~kernel
           in
+          (* At most one XSK per NIC queue this shard owns (queues
+             [q] with [q mod S = k]): an XSK without a queue would never
+             see its TX complete. *)
+          let owned = (nic_queues - k + num_queues - 1) / num_queues in
+          let num_xsks = min config.num_xsks owned in
           let rec make_fms i fms =
-            if i = config.num_xsks then Ok (List.rev fms)
+            if i = num_xsks then Ok (List.rev fms)
             else begin
               (* XSK initialization runs outside the enclave (paper
                  §4.1): one OCALL covers the setup syscall batch. *)
-              Sgx.Enclave.ocall enclave;
+              setup_ocall enclave setup_exits;
               let fd, xsk =
                 Hostos.Kernel.xsk_create kernel ~alloc:shared_alloc
                   ~umem_size:config.umem_size ~frame_size:config.frame_size
@@ -482,6 +505,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
               uring_breaker = breaker "uring";
               mm_breaker = breaker "mm";
               uring_overload = overload "overload.uring";
+              setup_exits;
               slow_ops = None;
               slow_udp = None;
               udp_socks = [];
@@ -526,16 +550,17 @@ let boot kernel ~sgx ?(config = Config.default) () =
                     shard.sh_fms)
             t.shards;
           (* NIC queue q -> shard (q mod S); within the shard, queue q ->
-             XSK ((q / S) mod num_xsks).  With S = 1 this is the
-             historical q mod num_xsks mapping.  Both NICs learn the
-             layout so shard-pinned wire faults fold receive queues onto
-             datapath shards the same way. *)
+             XSK ((q / S) mod n) over the shard's n XSKs.  n never
+             exceeds the shard's queue count, so every XSK gets a queue.
+             With S = 1 this is the historical q mod num_xsks mapping.
+             Both NICs learn the layout so shard-pinned wire faults fold
+             receive queues onto datapath shards the same way. *)
           Hostos.Nic.set_shards nic num_queues;
           Hostos.Nic.set_shards (Hostos.Kernel.nic kernel 1) num_queues;
           for q = 0 to nic_queues - 1 do
             let shard = t.shards.(q mod num_queues) in
             let num_xsks = Array.length shard.sh_xsks in
-            Sgx.Enclave.ocall enclave;
+            setup_ocall enclave setup_exits;
             Hostos.Kernel.xsk_attach kernel
               ~xsk:shard.sh_xsks.(q / num_queues mod num_xsks)
               ~nic_id:0 ~queue:q
@@ -573,7 +598,15 @@ let boot kernel ~sgx ?(config = Config.default) () =
 (* {1 UDP} *)
 
 let udp_socket t =
-  let sock = { bound = [||]; host_fd = None } in
+  let sock =
+    {
+      bound = [||];
+      host_fd = None;
+      next_shard = 0;
+      activity = [];
+      activity_set = Sim.Condition.set [];
+    }
+  in
   t.udp_socks <- sock :: t.udp_socks;
   sock
 
@@ -589,6 +622,9 @@ let udp_bind t sock port =
       let rec mirror k =
         if k = n then begin
           sock.bound <- socks;
+          sock.activity <-
+            Array.to_list (Array.map Netstack.Udp_socket.activity socks);
+          sock.activity_set <- Sim.Condition.set sock.activity;
           Hashtbl.replace t.owned_ports p ();
           (* Bound while a breaker is already open: create the fallback
              immediately, or PASSed traffic for this port would be
@@ -642,6 +678,16 @@ let slow_sendto t sock payload ~dst =
       | None -> None
       | Some fd -> Some (su.su_sendto fd payload ~dst))
 
+let admit shard cls =
+  match shard.sh_overload with
+  | None -> true
+  | Some ov -> Overload.admit ov cls
+
+let record_tx_shed shard =
+  match shard.sh_overload with
+  | Some ov -> Overload.record_shed ov
+  | None -> ()
+
 let udp_sendto t sock payload ~dst =
   match ensure_bound t sock with
   | Error e -> Error e
@@ -655,18 +701,8 @@ let udp_sendto t sock payload ~dst =
          silently lost.  Breaker probes classify as [Control] and are
          never shed: the probe's round trip is the signal that ends the
          failover, and starving it would make the overload metastable. *)
-      let admit cls =
-        match shard.sh_overload with
-        | None -> true
-        | Some ov -> Overload.admit ov cls
-      in
-      let record_tx_shed () =
-        match shard.sh_overload with
-        | Some ov -> Overload.record_shed ov
-        | None -> ()
-      in
       if not (xsk_failover_ready t) then
-        if not (admit Overload.Data) then Error Abi.Errno.EAGAIN
+        if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
         else (
           match fast_sendto t shard s payload ~dst with
           | Error Abi.Errno.EAGAIN when shard.sh_overload <> None ->
@@ -674,7 +710,7 @@ let udp_sendto t sock payload ~dst =
                  instead of PR 4's silent drop — and accounts it, so the
                  caller's refusal shows up in [shed.data] like any other
                  backpressure verdict. *)
-              record_tx_shed ();
+              record_tx_shed shard;
               Error Abi.Errno.EAGAIN
           | Error Abi.Errno.EAGAIN ->
               (* PR 4 semantics: the datagram may be silently dropped by
@@ -684,27 +720,31 @@ let udp_sendto t sock payload ~dst =
       else (
         match Health.allow shard.sh_breaker with
         | Health.Slow -> (
-            if not (admit Overload.Data) then Error Abi.Errno.EAGAIN
+            if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
             else
               match slow_sendto t sock payload ~dst with
               | Some r -> r
               | None ->
                   Health.record_shed shard.sh_breaker;
-                  record_tx_shed ();
+                  record_tx_shed shard;
                   Error Abi.Errno.EAGAIN)
         | Health.Fast | Health.Probe as verdict -> (
             if
               not
-                (admit
+                (admit shard
                    (if verdict = Health.Probe then Overload.Control
                     else Overload.Data))
             then Error Abi.Errno.EAGAIN
             else begin
             if verdict = Health.Probe then shard.probing <- true;
             let sent =
-              Fun.protect
-                ~finally:(fun () -> shard.probing <- false)
-                (fun () -> fast_sendto t shard s payload ~dst)
+              match fast_sendto t shard s payload ~dst with
+              | r ->
+                  shard.probing <- false;
+                  r
+              | exception e ->
+                  shard.probing <- false;
+                  raise e
             in
             match sent with
             | Error Abi.Errno.EAGAIN -> (
@@ -717,10 +757,69 @@ let udp_sendto t sock payload ~dst =
                     r
                 | None ->
                     Health.record_shed shard.sh_breaker;
-                    record_tx_shed ();
+                    record_tx_shed shard;
                     Error Abi.Errno.EAGAIN)
             | r -> r
             end))
+
+(* The shard socket whose head datagram is oldest, or [-1] when none is
+   readable: one FIFO across shards.  Always scanning shard 0 first
+   would let a busy shard 0 starve the others until their clients give
+   up.  Equal stamps go to the first in scan order, which starts one
+   past the shard served last. *)
+let rec oldest_from socks ~start j best best_at =
+  if j = Array.length socks then best
+  else
+    let i = (start + j) mod Array.length socks in
+    let at = Netstack.Udp_socket.head_stamp socks.(i) in
+    if at < best_at then oldest_from socks ~start (j + 1) i at
+    else oldest_from socks ~start (j + 1) best best_at
+
+let oldest_head sock socks =
+  let i = oldest_from socks ~start:sock.next_shard 0 (-1) max_int in
+  if i >= 0 then sock.next_shard <- (i + 1) mod Array.length socks;
+  i
+
+let rec recv_any t sock socks ~max =
+  let i = oldest_head sock socks in
+  if i >= 0 then Ok (Netstack.Udp_socket.recvfrom socks.(i) ~max)
+  else
+    match (sock.host_fd, t.slow_udp) with
+    | Some fd, Some su when su.su_readable fd -> (
+        match su.su_recvfrom fd ~max with
+        | Ok (_, (src_ip, src_port)) as r ->
+            (* Attribute the failover to the shard that owns the flow
+               (RSS), not blanket shard 0 — per-shard counters are the
+               containment witness. *)
+            let shard =
+              match sock_port sock with
+              | Some port -> pick_shard t ~src_port:port ~dst:(src_ip, src_port)
+              | None -> t.shards.(0)
+            in
+            Health.record_failover shard.sh_breaker;
+            r
+        | Error _ as r -> r)
+    | _ ->
+        (* Park on enclave-socket activity.  With failover configured,
+           add a quantum timer: host-socket arrivals broadcast a
+           different condition, so the timer bounds how stale the
+           host-side check can get. *)
+        if xsk_failover_ready t then begin
+          let wake = Netstack.Udp_socket.activity socks.(0) in
+          let fired = ref false in
+          Sim.Engine.after
+            (Hostos.Kernel.engine t.kernel)
+            Sgx.Params.xsk_rekick_period
+            (fun () ->
+              if not !fired then begin
+                fired := true;
+                Sim.Condition.broadcast wake
+              end);
+          Sim.Condition.wait_set sock.activity_set;
+          fired := true
+        end
+        else Sim.Condition.wait_set sock.activity_set;
+        recv_any t sock socks ~max
 
 (* Degraded receive: once failover is configured, datagrams may sit in
    either the enclave netstack (XDP Redirect epochs) or the host
@@ -739,63 +838,7 @@ let udp_recvfrom t sock ~max =
   | [||] -> Error Abi.Errno.EINVAL
   | socks when Array.length socks = 1 && not (xsk_failover_ready t) ->
       Ok (Netstack.Udp_socket.recvfrom socks.(0) ~max)
-  | socks ->
-      let engine = Hostos.Kernel.engine t.kernel in
-      let find_ready () =
-        let n = Array.length socks in
-        let rec go i =
-          if i = n then None
-          else if Netstack.Udp_socket.readable socks.(i) then Some socks.(i)
-          else go (i + 1)
-        in
-        go 0
-      in
-      let rec loop () =
-        match find_ready () with
-        | Some s -> Ok (Netstack.Udp_socket.recvfrom s ~max)
-        | None -> (
-            match (sock.host_fd, t.slow_udp) with
-            | Some fd, Some su when su.su_readable fd -> (
-                match su.su_recvfrom fd ~max with
-                | Ok (_, (src_ip, src_port)) as r ->
-                    (* Attribute the failover to the shard that owns the
-                       flow (RSS), not blanket shard 0 — per-shard
-                       counters are the containment witness. *)
-                    let shard =
-                      match sock_port sock with
-                      | Some port ->
-                          pick_shard t ~src_port:port ~dst:(src_ip, src_port)
-                      | None -> t.shards.(0)
-                    in
-                    Health.record_failover shard.sh_breaker;
-                    r
-                | Error _ as r -> r)
-            | _ ->
-                (* Park on enclave-socket activity.  With failover
-                   configured, add a quantum timer: host-socket arrivals
-                   broadcast a different condition, so the timer bounds
-                   how stale the host-side check can get. *)
-                let conds =
-                  Array.to_list (Array.map Netstack.Udp_socket.activity socks)
-                in
-                if xsk_failover_ready t then begin
-                  let wake = List.hd conds in
-                  let fired = ref false in
-                  Sim.Engine.at engine
-                    (Int64.add (Sim.Engine.now engine)
-                       Sgx.Params.xsk_rekick_period)
-                    (fun () ->
-                      if not !fired then begin
-                        fired := true;
-                        Sim.Condition.broadcast wake
-                      end);
-                  Sim.Condition.wait_any conds;
-                  fired := true
-                end
-                else Sim.Condition.wait_any conds;
-                loop ())
-      in
-      loop ()
+  | socks -> recv_any t sock socks ~max
 
 let udp_readable t sock =
   Array.exists Netstack.Udp_socket.readable sock.bound
@@ -815,14 +858,16 @@ let udp_close t sock =
     Array.iteri
       (fun k s -> Netstack.Stack.unbind t.shards.(k).sh_stack s)
       sock.bound;
-    sock.bound <- [||]
+    sock.bound <- [||];
+    sock.activity <- [];
+    sock.activity_set <- Sim.Condition.set []
   end
 
 (* {1 Threads} *)
 
 let new_thread t =
   (* io_uring setup runs outside the enclave, like XSK setup. *)
-  Sgx.Enclave.ocall t.enclave;
+  setup_ocall t.enclave t.setup_exits;
   let fd, uring =
     Hostos.Kernel.uring_create t.kernel ~alloc:t.shared_alloc
       ~entries:t.config.Config.uring_entries
@@ -852,7 +897,7 @@ let new_thread t =
         List.init Config.zc_frames (fun i ->
             (arena.Mem.Ptr.off + (i * zframe), zframe))
       in
-      Sgx.Enclave.ocall t.enclave;
+      setup_ocall t.enclave t.setup_exits;
       match Hostos.Kernel.uring_register_buffers t.kernel uring entries with
       | Ok () -> Ok (Some arena)
       | Error e ->
@@ -1089,5 +1134,6 @@ let watchdog_degraded_scans t =
   Obs.Metrics.value
     (Obs.Metrics.counter (Obs.metrics t.obs) "watchdog.degraded_scans")
 
-let udp_activity _t sock =
-  Array.to_list (Array.map Netstack.Udp_socket.activity sock.bound)
+let udp_activity _t sock = sock.activity
+
+let udp_wait _t sock = Sim.Condition.wait_set sock.activity_set

@@ -78,6 +78,12 @@ val boot :
 val enclave : t -> Sgx.Enclave.t
 (** The enclave whose transition/charging model all FMs share. *)
 
+val setup_exits : t -> int
+(** Enclave exits spent on setup so far: one per XSK created and per
+    NIC queue attached at boot, one per thread's io_uring, one per
+    zero-copy buffer registration.  On an honest host the paper's
+    datapath takes no exit beyond these (Figure 2). *)
+
 val kernel : t -> Hostos.Kernel.t
 (** The (untrusted) host kernel this runtime was booted against. *)
 
@@ -343,3 +349,7 @@ val tx_round_robin : t -> int
 val udp_activity : t -> udp_sock -> Sim.Condition.t list
 (** Activity conditions of a bound socket, one per shard (poll support);
     [[]] when unbound. *)
+
+val udp_wait : t -> udp_sock -> unit
+(** [Sim.Condition.wait_any (udp_activity t sock)], on a condition set
+    built once at bind. *)

@@ -16,6 +16,15 @@ type t = {
   umem_ptr : Mem.Ptr.t;
   rx_notify : Sim.Condition.t;
   compl_notify : Sim.Condition.t;
+  (* Built once: the park/wake path runs several times per packet. *)
+  wait_set : Sim.Condition.set; (* [rx_notify; compl_notify] *)
+  wake_rx : unit -> unit; (* timer callback: broadcast [rx_notify] *)
+  mutable rx_read : slot_off:int -> int -> unit;
+  mutable compl_read : slot_off:int -> int -> unit;
+  mutable fill_write : slot_off:int -> int -> unit;
+  mutable tx_write : slot_off:int -> unit;
+  mutable tx_desc : int64; (* the descriptor [tx_write] stores *)
+  mutable reaped : int; (* frames the current completion burst reclaimed *)
   rx_scratch : Bytes.t; (* trusted staging frame, reused per packet *)
   mutable kick : unit -> unit;
   mutable renudge : unit -> unit; (* forced TX wakeup via the MM *)
@@ -32,7 +41,7 @@ type t = {
      a fired timer's broadcast often wakes a *later* wait, which must
      still recognize the deadline as passed. *)
   mutable rekick_armed : bool;
-  mutable rekick_deadline : int64;
+  mutable rekick_deadline : int;
   (* Stranded-RX reclaim (the RX analogue of the rekick): frames the
      kernel consumed off xFill that never surfaced on xRX are invisible
      to certification — every ring view stays self-consistent while the
@@ -43,18 +52,20 @@ type t = {
      swept home by a full reinit. *)
   mutable rx_stuck_since : int64;
   mutable starve_armed : bool;
-  mutable starve_deadline : int64;
+  mutable starve_deadline : int;
   (* Wedge evidence feeding the deadman: [refill_blocked] — the last
      refill pass wanted frames promised but the outstanding-RX clamp
      pinned it at zero; [rx_progress] — at least one RX frame came
      home since the deadman last looked. *)
   mutable refill_blocked : bool;
   mutable rx_progress : bool;
-  (* Frames committed to xTX and not yet reclaimed, by UMem offset.
-     This is what failover can still save: when the breaker opens these
-     are copied out and resent via the slow path before [reinit] pulls
-     the frames home (zero lost accepted datagrams, DESIGN.md §9). *)
-  tx_inflight : (int, int) Hashtbl.t; (* offset -> frame length *)
+  (* Frames committed to xTX and not yet reclaimed: the frame length by
+     UMem frame index, [-1] for none.  This is what failover can still
+     save: when the breaker opens these are copied out and resent via
+     the slow path before [reinit] pulls the frames home (zero lost
+     accepted datagrams, DESIGN.md §9). *)
+  tx_inflight : int array;
+  mutable tx_inflight_n : int;
   mutable breaker : Health.t option;
   (* Overload backpressure (DESIGN.md §15): while the hook returns true
      the refill loop keeps only [fill_floor] frames promised to the
@@ -120,6 +131,63 @@ let layout_objects name (l : Rings.Layout.t) =
     (name ^ ".desc", Mem.Ptr.v l.region l.desc_off, l.entry_size * l.size);
   ]
 
+(* {2 Ring slot callbacks}
+
+   One closure each per FM, built at creation: the burst functions below
+   run every loop iteration. *)
+
+let frame_index t offset = offset / t.config.Config.frame_size
+
+(* One xRX descriptor: reclaim its frame, copy the packet into the
+   trusted staging frame and hand it to the UDP/IP stack. *)
+let rx_slot t ~slot_off _ =
+  let d = Mem.Region.get_u64 (Rings.Certified.region t.rx) slot_off in
+  let offset = Abi.Xsk_desc.decode_offset d
+  and len = Abi.Xsk_desc.decode_len d in
+  match Umem.reclaim t.umem Umem.Rx ~offset ~len () with
+  | Error _ -> () (* refused; the burst advances past the slot *)
+  | Ok () ->
+      t.rx_progress <- true;
+      Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
+      Mem.Region.blit_to_bytes t.umem_ptr.Mem.Ptr.region
+        (t.umem_ptr.Mem.Ptr.off + offset)
+        t.rx_scratch 0 len;
+      Obs.Metrics.incr t.rx_packets;
+      Netstack.Stack.input_borrowed t.stack t.rx_scratch ~len
+
+(* One xCompl entry.  Rejects are already counted by the UMem tracker;
+   the burst advances past the slot regardless — exactly the "refuse
+   and advance consumer" fail action. *)
+let compl_slot t ~slot_off _ =
+  let offset =
+    Abi.Xsk_desc.decode_offset
+      (Mem.Region.get_u64 (Rings.Certified.region t.compl_) slot_off)
+  in
+  match Umem.reclaim t.umem Umem.Tx ~offset () with
+  | Ok () ->
+      let idx = frame_index t offset in
+      if t.tx_inflight.(idx) >= 0 then begin
+        t.tx_inflight.(idx) <- -1;
+        t.tx_inflight_n <- t.tx_inflight_n - 1
+      end;
+      t.reaped <- t.reaped + 1
+  | Error _ -> ()
+
+(* One xFill entry: a fresh frame promised to the kernel. *)
+let fill_slot t ~slot_off _ =
+  match Umem.alloc t.umem with
+  | Some offset ->
+      Mem.Region.set_u64 (Rings.Certified.region t.fill) slot_off
+        (Abi.Xsk_desc.encode_offset offset);
+      Umem.commit t.umem offset Umem.Rx
+  | None ->
+      (* produce_batch never writes more slots than [count] and only
+         this callback allocates. *)
+      assert false
+
+let tx_slot t ~slot_off =
+  Mem.Region.set_u64 (Rings.Certified.region t.tx) slot_off t.tx_desc
+
 let ( let* ) = Result.bind
 
 let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
@@ -157,7 +225,8 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
     let m =
       match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
     in
-    Ok
+    let rx_notify = Hostos.Xdp.rx_notify xsk in
+    let t =
       {
         enclave;
         config;
@@ -170,8 +239,16 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
           Umem.create ?obs ~name:(name ^ ".umem") ~size:config.Config.umem_size
             ~frame_size:config.Config.frame_size ();
         umem_ptr;
-        rx_notify = Hostos.Xdp.rx_notify xsk;
+        rx_notify;
         compl_notify = Hostos.Xdp.compl_notify xsk;
+        wait_set = Sim.Condition.set [ rx_notify; Hostos.Xdp.compl_notify xsk ];
+        wake_rx = (fun () -> Sim.Condition.broadcast rx_notify);
+        rx_read = (fun ~slot_off:_ _ -> ());
+        compl_read = (fun ~slot_off:_ _ -> ());
+        fill_write = (fun ~slot_off:_ _ -> ());
+        tx_write = (fun ~slot_off:_ -> ());
+        tx_desc = 0L;
+        reaped = 0;
         (* One trusted staging frame, allocated (and charged) once; the
            rx path reuses it for every packet instead of a per-packet
            Bytes.create.  Safe because the stack copies what it keeps
@@ -190,13 +267,15 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         failure_mark = 0;
         failure_base = 0;
         rekick_armed = false;
-        rekick_deadline = 0L;
+        rekick_deadline = 0;
         rx_stuck_since = 0L;
         starve_armed = false;
-        starve_deadline = 0L;
+        starve_deadline = 0;
         refill_blocked = false;
         rx_progress = false;
-        tx_inflight = Hashtbl.create 16;
+        tx_inflight =
+          Array.make (config.Config.umem_size / config.Config.frame_size) (-1);
+        tx_inflight_n = 0;
         breaker = None;
         throttle = (fun () -> false);
         fill_floor = max 1 (config.Config.ring_size / 16);
@@ -214,6 +293,12 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
           Obs.Metrics.counter m (name ^ ".rx_starvation_reclaims");
         rx_burst_hist = Obs.Metrics.histogram m (name ^ ".rx_burst_slots");
       }
+    in
+    t.rx_read <- rx_slot t;
+    t.compl_read <- compl_slot t;
+    t.fill_write <- fill_slot t;
+    t.tx_write <- tx_slot t;
+    Ok t
 
 let set_kick t f = t.kick <- f
 
@@ -239,7 +324,7 @@ let breaker_failure t =
 let breaker_success t =
   match t.breaker with None -> () | Some b -> Health.record_success b
 
-let tx_inflight t = Hashtbl.length t.tx_inflight
+let tx_inflight t = t.tx_inflight_n
 
 let fill_ring t = t.fill
 
@@ -310,16 +395,7 @@ let refill t =
   t.refill_blocked <- count = 0 && Umem.outstanding t.umem Umem.Rx > 0;
   if count > 0 then begin
     let produced =
-      Rings.Certified.produce_batch t.fill ~count ~write:(fun ~slot_off _ ->
-          match Umem.alloc t.umem with
-          | Some offset ->
-              Mem.Region.set_u64 (Rings.Certified.region t.fill) slot_off
-                (Abi.Xsk_desc.encode_offset offset);
-              Umem.commit t.umem offset Umem.Rx
-          | None ->
-              (* produce_batch never writes more slots than [count] and
-                 only this callback allocates. *)
-              assert false)
+      Rings.Certified.produce_batch t.fill ~count ~write:t.fill_write
     in
     if produced > 0 then t.kick ()
   end
@@ -337,27 +413,15 @@ let refill t =
 (* Reclaim completed transmissions so their frames can be reused: drain
    everything xCompl holds in one burst. *)
 let reap_completions t =
-  let reclaimed = ref 0 in
+  t.reaped <- 0;
   ignore
     (Rings.Certified.consume_batch t.compl_
        ~max:(Rings.Certified.size t.compl_)
-       ~read:(fun ~slot_off _ ->
-         let offset =
-           Abi.Xsk_desc.decode_offset
-             (Mem.Region.get_u64 (Rings.Certified.region t.compl_) slot_off)
-         in
-         (* Rejects are already counted by the UMem tracker; the burst
-            advances past the slot regardless — exactly the "refuse and
-            advance consumer" fail action. *)
-         match Umem.reclaim t.umem Umem.Tx ~offset () with
-         | Ok () ->
-             Hashtbl.remove t.tx_inflight offset;
-             incr reclaimed
-         | Error _ -> ()));
+       ~read:t.compl_read);
   (* Completions flowing is direct evidence the TX datapath works:
      clears the breaker's failure streak, and in half-open counts the
      probe frame's round trip as the probe verdict. *)
-  if !reclaimed > 0 then breaker_success t
+  if t.reaped > 0 then breaker_success t
 
 (* Drain a burst of received descriptors into the enclave and hand them
    to the UDP/IP stack.  Returns the number of descriptors moved (valid
@@ -366,21 +430,7 @@ let rx_burst t =
   let moved =
     Rings.Certified.consume_batch t.rx
       ~max:(min Config.rx_burst t.config.Config.ring_size)
-      ~read:(fun ~slot_off _ ->
-        let offset, len =
-          Abi.Xsk_desc.decode
-            (Mem.Region.get_u64 (Rings.Certified.region t.rx) slot_off)
-        in
-        match Umem.reclaim t.umem Umem.Rx ~offset ~len () with
-        | Error _ -> () (* refused; the burst advances past the slot *)
-        | Ok () ->
-            t.rx_progress <- true;
-            Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
-            Mem.Region.blit_to_bytes t.umem_ptr.Mem.Ptr.region
-              (t.umem_ptr.Mem.Ptr.off + offset)
-              t.rx_scratch 0 len;
-            Obs.Metrics.incr t.rx_packets;
-            Netstack.Stack.input_borrowed t.stack t.rx_scratch ~len)
+      ~read:t.rx_read
   in
   if moved > 0 then Obs.Metrics.observe t.rx_burst_hist moved;
   moved
@@ -436,7 +486,8 @@ let reinit ?(keep_rx = false) t =
   Obs.Metrics.add t.reinit_reclaimed reclaimed;
   (* Every rescuable frame is home now; in-flight records refer to a
      dead ring epoch (failover copies frames out *before* reinit). *)
-  Hashtbl.reset t.tx_inflight;
+  Array.fill t.tx_inflight 0 (Array.length t.tx_inflight) (-1);
+  t.tx_inflight_n <- 0;
   refill t
 
 let maybe_reinit t =
@@ -492,7 +543,7 @@ let stranded_rx t =
    promises alive on purpose, and failback re-evaluates from scratch. *)
 let check_rx_starvation t engine =
   let now = Sim.Engine.now engine in
-  if t.starve_armed && Int64.compare now t.starve_deadline >= 0 then
+  if t.starve_armed && Int64.to_int now >= t.starve_deadline then
     t.starve_armed <- false;
   let breaker_open =
     match t.breaker with
@@ -532,7 +583,7 @@ let check_rx_starvation t engine =
 let check_rekick t engine =
   if
     t.rekick_armed
-    && Int64.compare (Sim.Engine.now engine) t.rekick_deadline >= 0
+    && Int64.to_int (Sim.Engine.now engine) >= t.rekick_deadline
   then begin
     t.rekick_armed <- false;
     if Umem.outstanding t.umem Umem.Tx > 0 then begin
@@ -568,9 +619,9 @@ let idle_wait t =
   if Umem.outstanding t.umem Umem.Tx > 0 && not t.rekick_armed then begin
     t.rekick_armed <- true;
     t.rekick_deadline <-
-      Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period;
-    Sim.Engine.at engine t.rekick_deadline (fun () ->
-        Sim.Condition.broadcast t.rx_notify)
+      Int64.to_int (Sim.Engine.now engine)
+      + Int64.to_int Sgx.Params.xsk_rekick_period;
+    Sim.Engine.after engine Sgx.Params.xsk_rekick_period t.wake_rx
   end;
   (* Starvation deadman: a fully-wedged shard receives no rx/compl
      broadcasts at all (arrivals die at the NIC edge), so the
@@ -580,11 +631,11 @@ let idle_wait t =
   if Umem.outstanding t.umem Umem.Rx > 0 && not t.starve_armed then begin
     t.starve_armed <- true;
     t.starve_deadline <-
-      Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rx_reclaim_period;
-    Sim.Engine.at engine t.starve_deadline (fun () ->
-        Sim.Condition.broadcast t.rx_notify)
+      Int64.to_int (Sim.Engine.now engine)
+      + Int64.to_int Sgx.Params.xsk_rx_reclaim_period;
+    Sim.Engine.after engine Sgx.Params.xsk_rx_reclaim_period t.wake_rx
   end;
-  Sim.Condition.wait_any [ t.rx_notify; t.compl_notify ];
+  Sim.Condition.wait_set t.wait_set;
   check_rekick t engine
 
 let rx_loop t () =
@@ -613,6 +664,18 @@ let rx_loop t () =
 let start t =
   Sim.Engine.spawn (Sgx.Enclave.engine t.enclave) ~name:"xsk-fm-rx" (rx_loop t)
 
+let rec acquire_frame t tries =
+  match Umem.alloc t.umem with
+  | Some offset -> Some offset
+  | None when tries = 0 -> None
+  | None ->
+      (* Transient exhaustion: back off exponentially while in-flight
+         sends complete (a stalled NIC holds frames for whole stall
+         windows — fixed short sleeps just burn the window polling). *)
+      Sim.Engine.delay (Sim.Backoff.next t.backoff);
+      reap_completions t;
+      acquire_frame t (tries - 1)
+
 let transmit t frame =
   let len = Bytes.length frame in
   if len > t.config.Config.frame_size then begin
@@ -622,22 +685,9 @@ let transmit t frame =
   else begin
     reap_completions t;
     Sim.Backoff.reset t.backoff;
-    let rec acquire tries =
-      match Umem.alloc t.umem with
-      | Some offset -> Some offset
-      | None when tries = 0 -> None
-      | None ->
-          (* Transient exhaustion: back off exponentially while
-             in-flight sends complete (a stalled NIC holds frames for
-             whole stall windows — fixed short sleeps just burn the
-             window polling). *)
-          Sim.Engine.delay (Sim.Backoff.next t.backoff);
-          reap_completions t;
-          acquire (tries - 1)
-    in
     let under_pressure = t.pressure () in
     let tries = if under_pressure then 1 else 2 * Config.retry_limit in
-    match acquire tries with
+    match acquire_frame t tries with
     | None ->
         Obs.Metrics.incr t.tx_frame_drops;
         (* UMem exhaustion that outlasted the whole backoff budget is an
@@ -653,14 +703,12 @@ let transmit t frame =
         Mem.Region.blit_from_bytes frame 0 t.umem_ptr.Mem.Ptr.region
           (t.umem_ptr.Mem.Ptr.off + offset)
           len;
-        match
-          Rings.Certified.produce t.tx ~write:(fun ~slot_off ->
-              Mem.Region.set_u64 (Rings.Certified.region t.tx) slot_off
-                (Abi.Xsk_desc.encode ~offset ~len))
-        with
+        t.tx_desc <- Abi.Xsk_desc.encode ~offset ~len;
+        match Rings.Certified.produce t.tx ~write:t.tx_write with
         | Ok () ->
             Umem.commit t.umem offset Umem.Tx;
-            Hashtbl.replace t.tx_inflight offset len;
+            t.tx_inflight.(frame_index t offset) <- len;
+            t.tx_inflight_n <- t.tx_inflight_n + 1;
             Rings.Certified.publish t.tx;
             Obs.Metrics.incr t.tx_packets;
             t.kick ();
@@ -694,19 +742,18 @@ let failover_reroute t ~resend =
     ()
   done;
   reap_completions t;
-  let frames =
-    List.sort compare
-      (Hashtbl.fold (fun offset len acc -> (offset, len) :: acc) t.tx_inflight [])
-  in
   let rerouted = ref 0 in
-  List.iter
-    (fun (offset, len) ->
-      let buf = Bytes.create len in
-      Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
-      Mem.Region.blit_to_bytes t.umem_ptr.Mem.Ptr.region
-        (t.umem_ptr.Mem.Ptr.off + offset)
-        buf 0 len;
-      if resend buf then incr rerouted)
-    frames;
+  (* In offset order, over a snapshot: [resend] may suspend. *)
+  Array.iteri
+    (fun idx len ->
+      if len >= 0 then begin
+        let buf = Bytes.create len in
+        Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
+        Mem.Region.blit_to_bytes t.umem_ptr.Mem.Ptr.region
+          (t.umem_ptr.Mem.Ptr.off + (idx * t.config.Config.frame_size))
+          buf 0 len;
+        if resend buf then incr rerouted
+      end)
+    (Array.copy t.tx_inflight);
   reinit ~keep_rx:true t;
   !rerouted

@@ -347,24 +347,26 @@ let xsk_attach t ~xsk ~nic_id ~queue ~prog =
 
 (* Wakeups pay the syscall cost regardless; whether the kernel then acts
    on them is where faults bite — a dropped wakeup is swallowed after
-   the trap, a delayed one takes effect fault_wakeup_delay later. *)
-let faulty_wakeup ?shard t k =
+   the trap, a delayed one takes effect fault_wakeup_delay later.
+   [true] when the wakeup is to act (after any delay). *)
+let wakeup_lands ?shard t =
   match !(t.faults_ref) with
   | Some f when Faults.roll ?shard !(t.faults_ref) Faults.Drop_wakeup ->
-      Faults.record f Faults.Drop_wakeup
+      Faults.record f Faults.Drop_wakeup;
+      false
   | Some f when Faults.roll ?shard !(t.faults_ref) Faults.Delay_wakeup ->
       Faults.record f Faults.Delay_wakeup;
       Sim.Engine.delay Sgx.Params.fault_wakeup_delay;
-      k ()
-  | _ -> k ()
+      true
+  | _ -> true
 
 let xsk_tx_wakeup t xsk =
   syscall t;
-  faulty_wakeup ?shard:(Xdp.shard xsk) t (fun () -> Xdp.tx_wakeup t.xdp xsk)
+  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.tx_wakeup t.xdp xsk
 
 let xsk_rx_wakeup t xsk =
   syscall t;
-  faulty_wakeup ?shard:(Xdp.shard xsk) t (fun () -> Xdp.rx_wakeup t.xdp xsk)
+  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.rx_wakeup t.xdp xsk
 
 (* Kernel-side bounce between the shared IO buffer and kernel memory on
    the classic io_uring data ops.  Fixed-buffer SQEs skip it — the whole
@@ -568,5 +570,4 @@ let uring_register_files t uring fds =
 
 let uring_enter t uring =
   syscall t;
-  faulty_wakeup ?shard:(Io_uring.shard uring) t (fun () ->
-      Io_uring.enter uring)
+  if wakeup_lands ?shard:(Io_uring.shard uring) t then Io_uring.enter uring

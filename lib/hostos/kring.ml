@@ -44,20 +44,34 @@ let publish_consumer t = Rings.Layout.write_cons t.layout t.pos
 
 let publish_producer t = Rings.Layout.write_prod t.layout t.pos
 
+let consume_slot t =
+  if available t <= 0 then -1 else Rings.Layout.slot_off t.layout t.pos
+
+let consumed t =
+  t.pos <- Rings.U32.succ t.pos;
+  publish_consumer t
+
+let produce_slot t =
+  if free t <= 0 then -1 else Rings.Layout.slot_off t.layout t.pos
+
+let produced t =
+  t.pos <- Rings.U32.succ t.pos;
+  publish_producer t
+
 let consume t ~read =
-  if available t <= 0 then None
+  let slot_off = consume_slot t in
+  if slot_off < 0 then None
   else begin
-    let v = read ~slot_off:(Rings.Layout.slot_off t.layout t.pos) in
-    t.pos <- Rings.U32.succ t.pos;
-    publish_consumer t;
+    let v = read ~slot_off in
+    consumed t;
     Some v
   end
 
 let produce t ~write =
-  if free t <= 0 then false
+  let slot_off = produce_slot t in
+  if slot_off < 0 then false
   else begin
-    write ~slot_off:(Rings.Layout.slot_off t.layout t.pos);
-    t.pos <- Rings.U32.succ t.pos;
-    publish_producer t;
+    write ~slot_off;
+    produced t;
     true
   end

@@ -29,6 +29,19 @@ val available : t -> int
 val free : t -> int
 (** Slots a producer endpoint may fill, clamped likewise. *)
 
+val consume_slot : t -> int
+(** The slot offset at the private head, or [-1] when nothing may be
+    consumed.  {!consumed} then advances past it — the two halves of
+    {!consume}, without its closure and option. *)
+
+val consumed : t -> unit
+
+val produce_slot : t -> int
+(** The slot offset at the private tail, or [-1] when full; {!produced}
+    then publishes it.  The two halves of {!produce}. *)
+
+val produced : t -> unit
+
 val consume : t -> read:(slot_off:int -> 'a) -> 'a option
 (** Read one slot at the private head, advance it, republish the shared
     consumer word honestly. *)

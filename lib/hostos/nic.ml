@@ -48,21 +48,15 @@ let drops t = Sim.Stats.get (stats t) t.drops_key
 (* Hardware RSS: the symmetric Toeplitz flow hash pins each UDP flow to
    one receive queue for the NIC's lifetime.  Non-UDP traffic (ARP) has
    no 4-tuple and lands on queue 0. *)
-let queue_of_flow t = function
-  | Some (src_ip, dst_ip, src_port, dst_port) ->
-      Packet.Rss.queue
-        ~queues:(Array.length t.rx_queues)
-        ~src_ip ~dst_ip ~src_port ~dst_port
-  | None -> 0
-
-let steer t frame = queue_of_flow t (Packet.Frame.peek_udp_flow frame)
+let steer t frame =
+  Packet.Frame.rss_queue ~queues:(Array.length t.rx_queues) frame
 
 let deliver t frame =
-  let flow = Packet.Frame.peek_udp_flow frame in
-  let q = queue_of_flow t flow in
+  let q = steer t frame in
   if Sim.Mailbox.try_put t.rx_queues.(q) frame then begin
     Sim.Stats.incr (stats t) t.rx_key;
-    if Option.is_some flow then t.udp_rx.(q) <- t.udp_rx.(q) + 1
+    if Packet.Frame.peek_udp_dst_port frame >= 0 then
+      t.udp_rx.(q) <- t.udp_rx.(q) + 1
   end
   else Sim.Stats.incr (stats t) t.drops_key
 
@@ -136,43 +130,49 @@ let corrupt_length t ?shard frame =
   | _ -> frame
 
 let wire_transmit t peer frame =
-  let shard = wire_shard t peer frame in
-  if roll_wire t ?shard Faults.Wire_drop then begin
-    wire_count t "drop";
-    (* The dropped frame cannot overtake the held one anymore; let the
-       flush timer release it. *)
-    ()
-  end
-  else begin
-    let frame = corrupt_length t ?shard frame in
-    let copies =
-      if roll_wire t ?shard Faults.Wire_dup then begin
-        wire_count t "dup";
-        2
+  match !(t.faults) with
+  | None ->
+      (* A fault-free wire neither holds nor loses frames. *)
+      arrive t peer frame
+  | Some _ -> (
+      let shard = wire_shard t peer frame in
+      if roll_wire t ?shard Faults.Wire_drop then begin
+        wire_count t "drop";
+        (* The dropped frame cannot overtake the held one anymore; let the
+           flush timer release it. *)
+        ()
       end
-      else 1
-    in
-    for _ = 1 to copies do
-      if roll_wire t ?shard Faults.Wire_delay then begin
-        wire_count t "delay";
-        Sim.Engine.at t.engine
-          (Int64.add (Sim.Engine.now t.engine) Sgx.Params.fault_wire_delay)
-          (fun () -> arrive t peer frame)
-      end
-      else if t.held = None && roll_wire t ?shard Faults.Wire_reorder then begin
-        wire_count t "reorder";
-        t.held <- Some frame;
-        let gen = t.held_gen in
-        (* Bounded in time as well as distance: if no successor overtakes
-           the held frame, the link delivers it anyway. *)
-        Sim.Engine.at t.engine
-          (Int64.add (Sim.Engine.now t.engine)
-             Sgx.Params.fault_wire_reorder_flush)
-          (fun () -> if t.held_gen = gen then flush_held t)
-      end
-      else arrive t peer frame
-    done
-  end
+      else begin
+        let frame = corrupt_length t ?shard frame in
+        let copies =
+          if roll_wire t ?shard Faults.Wire_dup then begin
+            wire_count t "dup";
+            2
+          end
+          else 1
+        in
+        for _ = 1 to copies do
+          if roll_wire t ?shard Faults.Wire_delay then begin
+            wire_count t "delay";
+            Sim.Engine.at t.engine
+              (Int64.add (Sim.Engine.now t.engine) Sgx.Params.fault_wire_delay)
+              (fun () -> arrive t peer frame)
+          end
+          else if t.held = None && roll_wire t ?shard Faults.Wire_reorder
+          then begin
+            wire_count t "reorder";
+            t.held <- Some frame;
+            let gen = t.held_gen in
+            (* Bounded in time as well as distance: if no successor overtakes
+               the held frame, the link delivers it anyway. *)
+            Sim.Engine.at t.engine
+              (Int64.add (Sim.Engine.now t.engine)
+                 Sgx.Params.fault_wire_reorder_flush)
+              (fun () -> if t.held_gen = gen then flush_held t)
+          end
+          else arrive t peer frame
+        done
+      end)
 
 (* The transmit process: serialize frames at the link rate and deliver
    them to the wired peer. *)

@@ -34,6 +34,7 @@ type xsk = {
   (* Which datapath shard this XSK serves — the context shard-pinned
      Malice armings match against.  None until the runtime attaches. *)
   mutable shard : int option;
+  mutable queues : int list; (* attached NIC queues, newest first *)
   (* Wire-attack state: the last frame legitimately seen (Replay
      re-presents it) and the window a Reorder_burst is holding back. *)
   mutable replay_stash : Bytes.t option;
@@ -80,6 +81,7 @@ let create_xsk t ~alloc ~umem_size ~frame_size ~ring_size =
     rx_drop_bad_fill = 0;
     tx_sent = 0;
     shard = None;
+    queues = [];
     replay_stash = None;
     burst_hold = [];
     burst_gen = 0;
@@ -90,6 +92,8 @@ let xsk_id x = x.id
 let set_shard x shard = x.shard <- Some shard
 
 let shard x = x.shard
+
+let queues x = List.rev x.queues
 
 let fill_layout x = x.fill
 
@@ -214,77 +218,82 @@ let rx_deliver t x frame =
     Sim.Condition.broadcast x.rx_notify
   end
   else begin
-    let offset =
-      Kring.consume x.kfill ~read:(fun ~slot_off ->
-          Abi.Xsk_desc.decode_offset
-            (Mem.Region.get_u64 x.fill.Rings.Layout.region slot_off))
-    in
-    match offset with
-    | None ->
-        x.rx_dropped <- x.rx_dropped + 1;
-        x.rx_drop_fill_empty <- x.rx_drop_fill_empty + 1;
-        Sim.Condition.broadcast x.rx_notify
-    | Some offset when not (umem_offset_ok x offset) ->
+    let fill_slot = Kring.consume_slot x.kfill in
+    if fill_slot < 0 then begin
+      x.rx_dropped <- x.rx_dropped + 1;
+      x.rx_drop_fill_empty <- x.rx_drop_fill_empty + 1;
+      Sim.Condition.broadcast x.rx_notify
+    end
+    else begin
+      let offset =
+        Abi.Xsk_desc.decode_offset
+          (Mem.Region.get_u64 x.fill.Rings.Layout.region fill_slot)
+      in
+      Kring.consumed x.kfill;
+      if not (umem_offset_ok x offset) then begin
         (* Kernel refuses garbage fill entries. *)
         x.rx_dropped <- x.rx_dropped + 1;
         x.rx_drop_bad_fill <- x.rx_drop_bad_fill + 1;
         Sim.Condition.broadcast x.rx_notify
-    | Some offset ->
+      end
+      else begin
         charge_copy len;
         Mem.Region.blit_from_bytes frame 0 x.umem.Mem.Ptr.region
           (x.umem.Mem.Ptr.off + offset) len;
         let desc = rx_descriptor t x ~offset ~len in
-        let ok =
-          Kring.produce x.krx ~write:(fun ~slot_off ->
-              Mem.Region.set_u64 x.rx.Rings.Layout.region slot_off desc)
-        in
-        if ok then x.rx_delivered <- x.rx_delivered + 1
+        let rx_slot = Kring.produce_slot x.krx in
+        if rx_slot >= 0 then begin
+          Mem.Region.set_u64 x.rx.Rings.Layout.region rx_slot desc;
+          Kring.produced x.krx;
+          x.rx_delivered <- x.rx_delivered + 1
+        end
         else begin
           x.rx_dropped <- x.rx_dropped + 1;
           x.rx_drop_krx_full <- x.rx_drop_krx_full + 1
         end;
         tamper_after_rx t x;
         Sim.Condition.broadcast x.rx_notify
+      end
+    end
   end
 
 (* Drain the xTX ring: validate each descriptor, put the frame on the
    wire and recycle the UMem offset through xCompl. *)
-let tx_drain t x =
-  let rec loop () =
-    let desc =
-      Kring.consume x.ktx ~read:(fun ~slot_off ->
-          Abi.Xsk_desc.decode (Mem.Region.get_u64 x.tx.Rings.Layout.region slot_off))
+let rec tx_drain t x =
+  let tx_slot = Kring.consume_slot x.ktx in
+  if tx_slot >= 0 then begin
+    let desc = Mem.Region.get_u64 x.tx.Rings.Layout.region tx_slot in
+    let offset = Abi.Xsk_desc.decode_offset desc
+    and len = Abi.Xsk_desc.decode_len desc in
+    Kring.consumed x.ktx;
+    if umem_offset_ok x offset && len > 0 && len <= x.frame_size then begin
+      charge_per_packet ();
+      charge_copy len;
+      let frame = Bytes.create len in
+      Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
+        (x.umem.Mem.Ptr.off + offset) frame 0 len;
+      x.transmit frame;
+      x.tx_sent <- x.tx_sent + 1
+    end;
+    let compl_off =
+      match !(t.malice) with
+      | Some m when Malice.roll ?shard:x.shard !(t.malice) Foreign_frame ->
+          Malice.record m Foreign_frame;
+          0 (* recycle a frame the FM did not send *)
+      | Some m when Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset ->
+          Malice.record m Bad_umem_offset;
+          x.umem_size + x.frame_size
+      | _ -> offset
     in
-    match desc with
-    | None -> ()
-    | Some (offset, len) ->
-        if umem_offset_ok x offset && len > 0 && len <= x.frame_size then begin
-          charge_per_packet ();
-          charge_copy len;
-          let frame = Bytes.create len in
-          Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
-            (x.umem.Mem.Ptr.off + offset) frame 0 len;
-          x.transmit frame;
-          x.tx_sent <- x.tx_sent + 1
-        end;
-        let compl_off =
-          match !(t.malice) with
-          | Some m when Malice.roll ?shard:x.shard !(t.malice) Foreign_frame ->
-              Malice.record m Foreign_frame;
-              0 (* recycle a frame the FM did not send *)
-          | Some m when Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset ->
-              Malice.record m Bad_umem_offset;
-              x.umem_size + x.frame_size
-          | _ -> offset
-        in
-        ignore
-          (Kring.produce x.kcompl ~write:(fun ~slot_off ->
-               Mem.Region.set_u64 x.compl_.Rings.Layout.region slot_off
-                 (Abi.Xsk_desc.encode_offset compl_off)));
-        Sim.Condition.broadcast x.compl_notify;
-        loop ()
-  in
-  loop ()
+    let compl_slot = Kring.produce_slot x.kcompl in
+    if compl_slot >= 0 then begin
+      Mem.Region.set_u64 x.compl_.Rings.Layout.region compl_slot
+        (Abi.Xsk_desc.encode_offset compl_off);
+      Kring.produced x.kcompl
+    end;
+    Sim.Condition.broadcast x.compl_notify;
+    tx_drain t x
+  end
 
 let tx_worker t x () =
   let rec loop () =
@@ -383,16 +392,18 @@ let hostile_rx t x frame ~deliver =
       else deliver frame
 
 let attach t ~nic ~queue ~prog ~xsk ~stack_fallback =
+  xsk.queues <- queue :: xsk.queues;
   xsk.transmit <- (fun frame -> Nic.transmit nic frame);
   Sim.Engine.spawn t.engine
     ~name:(Printf.sprintf "xsk%d-tx-worker" xsk.id)
     (tx_worker t xsk);
-  Nic.set_rx_handler nic ~queue (fun frame ->
-      hostile_rx t xsk frame ~deliver:(fun frame ->
-          match prog frame with
-          | Pass -> stack_fallback frame
-          | Drop -> ()
-          | Redirect -> rx_deliver t xsk frame))
+  let deliver frame =
+    match prog frame with
+    | Pass -> stack_fallback frame
+    | Drop -> ()
+    | Redirect -> rx_deliver t xsk frame
+  in
+  Nic.set_rx_handler nic ~queue (fun frame -> hostile_rx t xsk frame ~deliver)
 
 (* Wakeup syscalls re-enter the kernel, which rewrites the shared ring
    words from its private cursors as a side effect — in a real kernel

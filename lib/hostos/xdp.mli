@@ -47,6 +47,9 @@ val set_shard : xsk -> int -> unit
 
 val shard : xsk -> int option
 
+val queues : xsk -> int list
+(** The NIC receive queues attached to this XSK, in attach order. *)
+
 val fill_layout : xsk -> Rings.Layout.t
 
 val rx_layout : xsk -> Rings.Layout.t

@@ -40,7 +40,32 @@ let evs_of_mask mask =
 (* Busy-wait quantum for mixed-provider polls (paper §4.2). *)
 let mixed_poll_quantum = Sim.Cycles.of_us 2.
 
-let poll env proxy specs ~timeout =
+(* The events of [evs] a RAKIS socket is ready for, [[]] for none. *)
+let sock_revents env sock evs =
+  let revents =
+    List.filter
+      (fun ev ->
+        match ev with
+        | `In -> R.udp_readable env.runtime sock
+        | `Out -> true (* the in-enclave stack never blocks sends *))
+      evs
+  in
+  (* POLLOUT on an idle socket must not make every poll return
+     instantly when the caller is really waiting for input. *)
+  match revents with [ `Out ] when List.mem `In evs -> [] | revents -> revents
+
+(* [poll] on one RAKIS socket without a timeout — an event loop's
+   steady state — with nothing built per wait. *)
+let rec poll_sock env fd evs sock =
+  match sock_revents env sock evs with
+  | _ :: _ as revents -> Ok [ (fd, revents) ]
+  | [] ->
+      (match R.udp_activity env.runtime sock with
+      | [] -> Sim.Engine.delay mixed_poll_quantum
+      | _ :: _ -> R.udp_wait env.runtime sock);
+      poll_sock env fd evs sock
+
+let poll_any env proxy specs ~timeout =
   let engine = K.engine env.kernel in
   let deadline = Option.map (fun d -> Int64.add (Sim.Engine.now engine) d) timeout in
   let rakis_socks, host_specs =
@@ -55,19 +80,8 @@ let poll env proxy specs ~timeout =
   let rakis_ready () =
     List.filter_map
       (fun (fd, evs, sock) ->
-        let revents =
-          List.filter
-            (fun ev ->
-              match ev with
-              | `In -> R.udp_readable env.runtime sock
-              | `Out -> true (* the in-enclave stack never blocks sends *))
-            evs
-        in
-        (* POLLOUT on an idle socket must not make every poll return
-           instantly when the caller is really waiting for input. *)
-        match revents with
+        match sock_revents env sock evs with
         | [] -> None
-        | [ `Out ] when List.mem `In evs -> None
         | revents -> Some (fd, revents))
       rakis_socks
   in
@@ -139,6 +153,14 @@ let poll env proxy specs ~timeout =
           | Ok None -> if expired () then Ok [] else loop ())
   in
   loop ()
+
+let poll env proxy specs ~timeout =
+  match (specs, timeout) with
+  | [ (fd, evs) ], None -> (
+      match find env fd with
+      | Some (Rudp sock) -> poll_sock env fd evs sock
+      | Some (Rhost _) | None -> poll_any env proxy specs ~timeout)
+  | _ -> poll_any env proxy specs ~timeout
 
 let rec api env proxy : Api.t =
   let engine = K.engine env.kernel in

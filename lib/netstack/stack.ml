@@ -98,14 +98,6 @@ let socket_count t = Hashtbl.length t.sockets
 let lock_contention t =
   Sim.Lock.contended t.global_lock + Sim.Lock.contended t.table_lock
 
-(* In [`Global] mode all packet processing serializes behind one lock —
-   the original LWIP discipline; in [`Fine] mode only the socket table
-   is protected and the (charged) per-packet work runs concurrently. *)
-let with_processing t f =
-  match t.locking with
-  | `Global -> Sim.Lock.with_lock t.global_lock f
-  | `Fine -> f ()
-
 let with_table t f =
   match t.locking with
   | `Global -> f () (* already inside the global lock *)
@@ -179,6 +171,21 @@ let send_arp_request t target_ip =
         (Packet.Frame.build_arp ~src_mac:t.mac
            ~dst_mac:Packet.Addr.Mac.broadcast arp)
 
+let send_frame t transmit ~src_port ~dst_ip ~dst_port ~dst_mac payload =
+  charge_packet ();
+  let info =
+    {
+      Packet.Frame.src_mac = t.mac;
+      dst_mac;
+      src_ip = t.ip;
+      dst_ip;
+      src_port;
+      dst_port;
+    }
+  in
+  transmit (Packet.Frame.build_udp info payload);
+  Ok (Bytes.length payload)
+
 let sendto t ~src_port ~dst:(dst_ip, dst_port) payload =
   match t.transmit with
   | None -> Error No_transmit
@@ -186,26 +193,26 @@ let sendto t ~src_port ~dst:(dst_ip, dst_port) payload =
       if Bytes.length payload > Packet.Udp.max_payload then
         Error Payload_too_big
       else begin
-        match
-          Arp_cache.resolve t.arp dst_ip ~request:(fun () ->
-              send_arp_request t dst_ip)
-        with
+        (* A cache hit, the steady state, needs no resolution closure;
+           [resolve] would make the same single lookup. *)
+        let resolved =
+          match Arp_cache.lookup t.arp dst_ip with
+          | Some _ as hit -> hit
+          | None ->
+              Arp_cache.resolve t.arp dst_ip ~request:(fun () ->
+                  send_arp_request t dst_ip)
+        in
+        match resolved with
         | None -> Error Unresolvable
-        | Some dst_mac ->
-            with_processing t (fun () ->
-                charge_packet ();
-                let info =
-                  {
-                    Packet.Frame.src_mac = t.mac;
-                    dst_mac;
-                    src_ip = t.ip;
-                    dst_ip;
-                    src_port;
-                    dst_port;
-                  }
-                in
-                transmit (Packet.Frame.build_udp info payload);
-                Ok (Bytes.length payload))
+        | Some dst_mac -> (
+            match t.locking with
+            | `Global ->
+                Sim.Lock.with_lock t.global_lock (fun () ->
+                    send_frame t transmit ~src_port ~dst_ip ~dst_port ~dst_mac
+                      payload)
+            | `Fine ->
+                send_frame t transmit ~src_port ~dst_ip ~dst_port ~dst_mac
+                  payload)
       end
 
 let handle_arp t arp =
@@ -226,12 +233,22 @@ let handle_arp t arp =
         (Packet.Frame.build_arp ~src_mac:t.mac ~dst_mac:arp.sender_mac reply)
   | (Request | Reply), _ -> ()
 
+(* The socket table lookup of the receive path, under the table lock in
+   [`Fine] mode.  No closure: this runs once per packet. *)
+let find_socket t port =
+  match t.locking with
+  | `Global -> Hashtbl.find_opt t.sockets port
+  | `Fine ->
+      Sim.Lock.acquire t.table_lock;
+      let sock = Hashtbl.find_opt t.sockets port in
+      Sim.Lock.release t.table_lock;
+      sock
+
 let handle_udp t (ip_pkt : Packet.Ipv4.t) =
   match Packet.Udp.parse ~src:ip_pkt.src ~dst:ip_pkt.dst ip_pkt.payload with
   | Error _ -> drop t "bad-udp"
   | Ok udp -> (
-      let sock = with_table t (fun () -> Hashtbl.find_opt t.sockets udp.dst_port) in
-      match sock with
+      match find_socket t udp.dst_port with
       | None -> drop t "no-socket"
       | Some sock ->
           let admitted =
@@ -246,53 +263,60 @@ let handle_udp t (ip_pkt : Packet.Ipv4.t) =
           then Obs.Metrics.incr t.rx_delivered
           else drop t "queue-full")
 
+let deliver t (ip_pkt : Packet.Ipv4.t) =
+  match ip_pkt.proto with
+  | Packet.Ipv4.Udp -> handle_udp t ip_pkt
+  | Tcp | Icmp | Other _ -> drop t "not-udp"
+
+let input_frame t frame len =
+  charge_packet ();
+  match Packet.Eth.parse_sub frame ~len with
+  | Error _ -> drop t "bad-eth"
+  | Ok eth -> (
+      let for_us =
+        Packet.Addr.Mac.equal eth.dst t.mac
+        || Packet.Addr.Mac.is_broadcast eth.dst
+      in
+      if not for_us then drop t "not-ours"
+      else
+        match eth.ethertype with
+        | Unknown _ -> drop t "bad-eth"
+        | Arp -> (
+            match Packet.Arp.parse eth.payload with
+            | Error _ -> drop t "bad-arp"
+            | Ok arp -> handle_arp t arp)
+        | Ipv4 -> (
+            match Packet.Ipv4.parse_fragment eth.payload with
+            | Error _ -> drop t "bad-ip"
+            | Ok frag ->
+                let ip_pkt = frag.Packet.Ipv4.packet in
+                if not (Packet.Addr.Ip.equal ip_pkt.dst t.ip) then
+                  drop t "not-ours"
+                else if
+                  frag.Packet.Ipv4.more || frag.Packet.Ipv4.frag_offset <> 0
+                then begin
+                  (match Reassembly.insert t.reasm frag with
+                  | Reassembly.Complete ip_pkt -> deliver t ip_pkt
+                  | Reassembly.Pending -> ()
+                  | Reassembly.Rejected reason -> drop t reason);
+                  (* Reassemblies the lazy sweep abandoned since we last
+                     looked become accounted drops now. *)
+                  let ex = Reassembly.expired t.reasm in
+                  for _ = t.reasm_expired_seen + 1 to ex do
+                    drop t "frag-expired"
+                  done;
+                  t.reasm_expired_seen <- ex
+                end
+                else deliver t ip_pkt))
+
+(* In [`Global] mode all packet processing serializes behind one lock —
+   the original LWIP discipline; in [`Fine] mode only the socket table
+   is protected and the (charged) per-packet work runs concurrently,
+   with no closure per packet. *)
 let input_borrowed t frame ~len =
-  with_processing t (fun () ->
-      charge_packet ();
-      match Packet.Eth.parse_sub frame ~len with
-      | Error _ -> drop t "bad-eth"
-      | Ok eth -> (
-          let for_us =
-            Packet.Addr.Mac.equal eth.dst t.mac
-            || Packet.Addr.Mac.is_broadcast eth.dst
-          in
-          if not for_us then drop t "not-ours"
-          else
-            match eth.ethertype with
-            | Unknown _ -> drop t "bad-eth"
-            | Arp -> (
-                match Packet.Arp.parse eth.payload with
-                | Error _ -> drop t "bad-arp"
-                | Ok arp -> handle_arp t arp)
-            | Ipv4 -> (
-                match Packet.Ipv4.parse_fragment eth.payload with
-                | Error _ -> drop t "bad-ip"
-                | Ok frag ->
-                    let ip_pkt = frag.Packet.Ipv4.packet in
-                    if not (Packet.Addr.Ip.equal ip_pkt.dst t.ip) then
-                      drop t "not-ours"
-                    else
-                      let deliver ip_pkt =
-                        match ip_pkt.Packet.Ipv4.proto with
-                        | Packet.Ipv4.Udp -> handle_udp t ip_pkt
-                        | Tcp | Icmp | Other _ -> drop t "not-udp"
-                      in
-                      if
-                        frag.Packet.Ipv4.more
-                        || frag.Packet.Ipv4.frag_offset <> 0
-                      then begin
-                        (match Reassembly.insert t.reasm frag with
-                        | Reassembly.Complete ip_pkt -> deliver ip_pkt
-                        | Reassembly.Pending -> ()
-                        | Reassembly.Rejected reason -> drop t reason);
-                        (* Reassemblies the lazy sweep abandoned since we
-                           last looked become accounted drops now. *)
-                        let ex = Reassembly.expired t.reasm in
-                        for _ = t.reasm_expired_seen + 1 to ex do
-                          drop t "frag-expired"
-                        done;
-                        t.reasm_expired_seen <- ex
-                      end
-                      else deliver ip_pkt)))
+  match t.locking with
+  | `Global ->
+      Sim.Lock.with_lock t.global_lock (fun () -> input_frame t frame len)
+  | `Fine -> input_frame t frame len
 
 let input t frame = input_borrowed t frame ~len:(Bytes.length frame)

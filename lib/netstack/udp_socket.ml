@@ -1,6 +1,13 @@
+(* A queued datagram, stamped (in cycles) at enqueue. *)
+type datagram = {
+  payload : Bytes.t;
+  src : Packet.Addr.Ip.t * int;
+  enqueued_at : int;
+}
+
 type t = {
   port : int;
-  queue : (Bytes.t * (Packet.Addr.Ip.t * int) * int64) Sim.Mailbox.t;
+  queue : datagram Sim.Mailbox.t;
   activity : Sim.Condition.t;
   clock : unit -> int64;
   mutable on_dequeue : (sojourn:int64 -> depth:int -> unit) option;
@@ -25,7 +32,10 @@ let port t = t.port
 let set_on_dequeue t f = t.on_dequeue <- Some f
 
 let enqueue t payload ~src =
-  if Sim.Mailbox.try_put t.queue (payload, src, t.clock ()) then begin
+  if
+    Sim.Mailbox.try_put t.queue
+      { payload; src; enqueued_at = Int64.to_int (t.clock ()) }
+  then begin
     Sim.Condition.broadcast t.activity;
     true
   end
@@ -35,12 +45,12 @@ let enqueue t payload ~src =
   end
 
 let recvfrom t ~max =
-  let payload, src, enqueued_at = Sim.Mailbox.get t.queue in
+  let { payload; src; enqueued_at } = Sim.Mailbox.get t.queue in
   (match t.on_dequeue with
   | None -> ()
   | Some f ->
       f
-        ~sojourn:(Int64.sub (t.clock ()) enqueued_at)
+        ~sojourn:(Int64.of_int (Int64.to_int (t.clock ()) - enqueued_at))
         ~depth:(Sim.Mailbox.length t.queue));
   let payload =
     if Bytes.length payload > max then Bytes.sub payload 0 max else payload
@@ -48,6 +58,11 @@ let recvfrom t ~max =
   (payload, src)
 
 let readable t = not (Sim.Mailbox.is_empty t.queue)
+
+let head_stamp t =
+  match Sim.Mailbox.peek t.queue with
+  | Some d -> d.enqueued_at
+  | None -> max_int
 
 let pending t = Sim.Mailbox.length t.queue
 

@@ -25,6 +25,11 @@ val set_on_dequeue : t -> (sojourn:int64 -> depth:int -> unit) -> unit
 
 val readable : t -> bool
 
+val head_stamp : t -> int
+(** The enqueue stamp (cycles) of the datagram {!recvfrom} would return
+    next, or [max_int] when the queue is empty.  A reader multiplexing
+    several sockets serves the oldest head first. *)
+
 val pending : t -> int
 
 val drops : t -> int

@@ -81,35 +81,39 @@ let pp_dissect_error ppf = function
   | Not_udp -> Format.fprintf ppf "not a udp packet"
   | Udp_err e -> Udp.pp_error ppf e
 
-let peek_udp_ports frame =
-  (* Cheap un-validated extraction used for NIC queue steering; full
-     validation happens later in whichever stack consumes the frame. *)
-  if Bytes.length frame < frame_overhead then None
-  else if Bytes.get_uint16_be frame 12 <> 0x0800 then None
-  else if Bytes.get_uint8 frame 23 <> 17 then None
+(* Cheap un-validated extraction used for NIC queue steering; full
+   validation happens later in whichever stack consumes the frame.  The
+   offset of the UDP header, or [-1] when the frame is not UDP/IPv4 or
+   too short to hold both ports. *)
+let udp_offset frame =
+  if Bytes.length frame < frame_overhead then -1
+  else if Bytes.get_uint16_be frame 12 <> 0x0800 then -1
+  else if Bytes.get_uint8 frame 23 <> 17 then -1
   else
     let ihl = (Bytes.get_uint8 frame 14 land 0xf) * 4 in
     let udp_off = Eth.header_size + ihl in
-    if Bytes.length frame < udp_off + 4 then None
-    else
-      Some (Bytes.get_uint16_be frame udp_off, Bytes.get_uint16_be frame (udp_off + 2))
+    if Bytes.length frame < udp_off + 4 then -1 else udp_off
 
-let peek_udp_flow frame =
-  (* The RSS 4-tuple, as cheaply as [peek_udp_ports]: IPs in host order
-     straight from the IPv4 header (src at 26, dst at 30). *)
-  if Bytes.length frame < frame_overhead then None
-  else if Bytes.get_uint16_be frame 12 <> 0x0800 then None
-  else if Bytes.get_uint8 frame 23 <> 17 then None
+(* IPs in host order straight from the IPv4 header (src at 26, dst at
+   30). *)
+let ip32 frame off =
+  (Bytes.get_uint16_be frame off lsl 16) lor Bytes.get_uint16_be frame (off + 2)
+
+let peek_udp_ports frame =
+  let off = udp_offset frame in
+  if off < 0 then None
+  else Some (Bytes.get_uint16_be frame off, Bytes.get_uint16_be frame (off + 2))
+
+let peek_udp_dst_port frame =
+  let off = udp_offset frame in
+  if off < 0 then -1 else Bytes.get_uint16_be frame (off + 2)
+
+let rss_queue ~queues frame =
+  let off = udp_offset frame in
+  if off < 0 then 0
   else
-    let ihl = (Bytes.get_uint8 frame 14 land 0xf) * 4 in
-    let udp_off = Eth.header_size + ihl in
-    if Bytes.length frame < udp_off + 4 then None
-    else
-      let ip32 off =
-        (Bytes.get_uint16_be frame off lsl 16) lor Bytes.get_uint16_be frame (off + 2)
-      in
-      Some
-        ( ip32 (Eth.header_size + 12),
-          ip32 (Eth.header_size + 16),
-          Bytes.get_uint16_be frame udp_off,
-          Bytes.get_uint16_be frame (udp_off + 2) )
+    Rss.queue ~queues
+      ~src_ip:(ip32 frame (Eth.header_size + 12))
+      ~dst_ip:(ip32 frame (Eth.header_size + 16))
+      ~src_port:(Bytes.get_uint16_be frame off)
+      ~dst_port:(Bytes.get_uint16_be frame (off + 2))

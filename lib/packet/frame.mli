@@ -35,6 +35,11 @@ val peek_udp_ports : Bytes.t -> (int * int) option
 (** [(src_port, dst_port)] of a UDP frame, without any validation — used
     only for NIC receive-queue steering, mirroring hardware RSS. *)
 
-val peek_udp_flow : Bytes.t -> (int * int * int * int) option
-(** [(src_ip, dst_ip, src_port, dst_port)] of a UDP frame (IPs as
-    host-order ints), unvalidated — the {!Rss} hash input. *)
+val peek_udp_dst_port : Bytes.t -> int
+(** The [dst_port] of {!peek_udp_ports}, or [-1] for a frame it rejects;
+    allocates nothing. *)
+
+val rss_queue : queues:int -> Bytes.t -> int
+(** The {!Rss.queue} of a UDP frame's 4-tuple (IPs read as host-order
+    ints, unvalidated, like {!peek_udp_ports}); [0] for a frame
+    {!peek_udp_ports} rejects.  Allocates nothing. *)

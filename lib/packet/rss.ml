@@ -23,7 +23,7 @@ let key =
   |]
 
 (* 32-bit window of the key starting at bit [bit]. *)
-let key_window bit =
+let window bit =
   let byte = bit / 8 and shift = bit mod 8 in
   let b i = if i < Array.length key then key.(i) else 0 in
   let w40 =
@@ -35,40 +35,40 @@ let key_window bit =
   in
   (w40 lsr (8 - shift)) land 0xffffffff
 
+(* Every window the 96-bit tuple can select, computed once: the hash
+   runs on every frame a multi-queue NIC steers. *)
+let key_windows = Array.init 96 window
+
 let fold_byte acc ~bit v =
   let acc = ref acc in
   for i = 0 to 7 do
-    if v land (0x80 lsr i) <> 0 then acc := !acc lxor key_window (bit + i)
+    if v land (0x80 lsr i) <> 0 then acc := !acc lxor key_windows.(bit + i)
   done;
   !acc
 
-(* Toeplitz over the canonicalized 12-byte tuple.  Endpoints are
-   ordered by (ip, port) so hash(a->b) = hash(b->a). *)
+(* Toeplitz over the canonicalized 12-byte tuple, most significant
+   byte first.  Endpoints are ordered by (ip, port) so
+   hash(a->b) = hash(b->a). *)
+let fold_u32 acc ~bit v =
+  let acc = fold_byte acc ~bit ((v lsr 24) land 0xff) in
+  let acc = fold_byte acc ~bit:(bit + 8) ((v lsr 16) land 0xff) in
+  let acc = fold_byte acc ~bit:(bit + 16) ((v lsr 8) land 0xff) in
+  fold_byte acc ~bit:(bit + 24) (v land 0xff)
+
+let fold_u16 acc ~bit v =
+  let acc = fold_byte acc ~bit ((v lsr 8) land 0xff) in
+  fold_byte acc ~bit:(bit + 8) (v land 0xff)
+
 let hash ~src_ip ~dst_ip ~src_port ~dst_port =
-  let (lo_ip, lo_port), (hi_ip, hi_port) =
-    if (src_ip, src_port) <= (dst_ip, dst_port) then
-      ((src_ip, src_port), (dst_ip, dst_port))
-    else ((dst_ip, dst_port), (src_ip, src_port))
-  in
-  let bytes =
-    [|
-      (lo_ip lsr 24) land 0xff;
-      (lo_ip lsr 16) land 0xff;
-      (lo_ip lsr 8) land 0xff;
-      lo_ip land 0xff;
-      (hi_ip lsr 24) land 0xff;
-      (hi_ip lsr 16) land 0xff;
-      (hi_ip lsr 8) land 0xff;
-      hi_ip land 0xff;
-      (lo_port lsr 8) land 0xff;
-      lo_port land 0xff;
-      (hi_port lsr 8) land 0xff;
-      hi_port land 0xff;
-    |]
-  in
-  let acc = ref 0 in
-  Array.iteri (fun i v -> acc := fold_byte !acc ~bit:(i * 8) v) bytes;
-  !acc land 0xffffffff
+  let src_lo = src_ip < dst_ip || (src_ip = dst_ip && src_port <= dst_port) in
+  let lo_ip = if src_lo then src_ip else dst_ip
+  and hi_ip = if src_lo then dst_ip else src_ip
+  and lo_port = if src_lo then src_port else dst_port
+  and hi_port = if src_lo then dst_port else src_port in
+  let acc = fold_u32 0 ~bit:0 lo_ip in
+  let acc = fold_u32 acc ~bit:32 hi_ip in
+  let acc = fold_u16 acc ~bit:64 lo_port in
+  fold_u16 acc ~bit:80 hi_port land 0xffffffff
 
 (* Queue selection: hash through a mod-[queues] indirection, as the
    simulated NIC has no 128-entry indirection table to program. *)

@@ -23,6 +23,16 @@ val broadcast : t -> unit
 val waiters : t -> int
 (** Number of currently suspended waiters (diagnostic). *)
 
+type set
+(** A fixed group of conditions to wait on together. *)
+
+val set : t list -> set
+(** Build once, wait on many times: {!wait_set} allocates no list or
+    closure of its own. *)
+
+val wait_set : set -> unit
+(** [wait_any] over the set's conditions, with the same caveat. *)
+
 val wait_any : t list -> unit
 (** Suspend until any of the conditions is signalled.  Only sound for
     conditions that are always woken with {!broadcast}: after wake-up a

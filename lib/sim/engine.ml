@@ -4,14 +4,22 @@ exception Not_in_process
 
 (* What a queued event does when its time comes.  A [Call] runs outside
    any process; [Start] enters a freshly spawned process; [Resume] hands
-   control back to a suspended one. *)
+   control back to a delayed one and [Wake] to a suspended one.  A
+   [Wake] is also the suspended process's waker: it is queued as is, so
+   waking allocates nothing, and [fired] makes every wake after the
+   first a no-op. *)
 type event =
   | Empty
   | Call of (unit -> unit)
   | Start of (unit -> unit)
   | Resume of (unit, unit) Effect.Deep.continuation
+  | Wake of {
+      engine : t;
+      k : (unit, unit) Effect.Deep.continuation;
+      mutable fired : bool;
+    }
 
-type t = {
+and t = {
   mutable clock : int;
   (* [clock] boxed once per distinct value, so [now] allocates nothing. *)
   mutable now : time;
@@ -25,7 +33,7 @@ type t = {
   mutable stopped : bool;
   (* Operands of the payload-free [Delay] and [Suspend] effects. *)
   mutable delay_by : int;
-  mutable register : (unit -> unit) -> unit;
+  mutable register : event -> unit;
   self : t option;
   stats : Stats.t;
 }
@@ -36,7 +44,11 @@ type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
    argument-free [delay]/[suspend] API works. *)
 let current : t option ref = ref None
 
-let no_register (_ : unit -> unit) = ()
+type waker = event
+
+let no_register (_ : waker) = ()
+
+let idle_waker = Empty
 
 let create () =
   let cap = 256 in
@@ -69,7 +81,7 @@ let ticks (x : time) =
   else if Int64.compare x (Int64.of_int min_int) <= 0 then min_int
   else Int64.to_int x
 
-let after t d = if d > max_int - t.clock then max_int else t.clock + d
+let later t d = if d > max_int - t.clock then max_int else t.clock + d
 
 let set_clock t time =
   if time <> t.clock then begin
@@ -149,6 +161,8 @@ let pop t =
 
 let at t time f = schedule t (ticks time) (Call f)
 
+let after t d f = schedule t (later t (ticks d)) (Call f)
+
 let pending t = t.size
 
 let engine_of_ambient () =
@@ -172,6 +186,12 @@ let suspend register =
   t.register <- register;
   Effect.perform Suspend
 
+let wake = function
+  | Wake w as ev when not w.fired ->
+      w.fired <- true;
+      schedule w.engine w.engine.clock ev
+  | Wake _ | Empty | Call _ | Start _ | Resume _ -> ()
+
 let stop t = t.stopped <- true
 
 let spawn t ?(name = "proc") f =
@@ -181,20 +201,14 @@ let spawn t ?(name = "proc") f =
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
-        schedule t (after t t.delay_by) (Resume k))
+        schedule t (later t t.delay_by) (Resume k))
   in
   let on_suspend =
     Some
       (fun (k : (unit, unit) continuation) ->
         let register = t.register in
         t.register <- no_register;
-        let resume = ref (Resume k) in
-        register (fun () ->
-            match !resume with
-            | Empty -> ()
-            | ev ->
-                resume := Empty;
-                schedule t t.clock ev))
+        register (Wake { engine = t; k; fired = false }))
   in
   let handler =
     {
@@ -235,7 +249,7 @@ let run ?until t =
         | Start f ->
             current := t.self;
             f ()
-        | Resume k ->
+        | Resume k | Wake { k; _ } ->
             current := t.self;
             Effect.Deep.continue k ()
         | Empty -> assert false);

@@ -39,6 +39,10 @@ val at : t -> time -> (unit -> unit) -> unit
 (** [at t time f] runs callback [f] (not a process: it must not suspend)
     at absolute time [time].  Times in the past run "now". *)
 
+val after : t -> time -> (unit -> unit) -> unit
+(** [after t d f] is [at t (Int64.add (now t) d) f], without boxing the
+    deadline. *)
+
 val delay : time -> unit
 (** [delay d] suspends the calling process for [d] cycles.  Outside any
     process (setup code running before {!run}) it is a no-op: simulated
@@ -49,11 +53,21 @@ val yield : unit -> unit
 (** Suspend and resume at the same simulated time, after other events
     already scheduled for that time. *)
 
-val suspend : ((unit -> unit) -> unit) -> unit
+type waker
+(** A suspended process, as handed to {!suspend}'s [register]. *)
+
+val suspend : (waker -> unit) -> unit
 (** [suspend register] suspends the calling process and calls
-    [register waker].  Invoking [waker] (at most once takes effect)
-    reschedules the process at the then-current simulated time.  This is
-    the primitive under {!Condition.wait}. *)
+    [register waker].  {!wake} then reschedules the process at the
+    then-current simulated time.  This is the primitive under
+    {!Condition.wait}. *)
+
+val wake : waker -> unit
+(** Only the first wake of a waker takes effect; waking allocates
+    nothing. *)
+
+val idle_waker : waker
+(** A waker that wakes nobody (a filler for waker buffers). *)
 
 val stop : t -> unit
 (** Request the run loop to return after the current event.  Used by

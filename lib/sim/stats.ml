@@ -9,10 +9,12 @@ let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges
 
+(* [find] rather than [find_opt]: counting an existing key, the hot
+   case, allocates nothing. *)
 let counter_ref t key =
-  match Hashtbl.find_opt t.counters key with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters key with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
       Hashtbl.add t.counters key r;
       r

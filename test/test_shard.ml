@@ -300,6 +300,149 @@ let test_default_keys_omitted () =
     (Tm.Campaign.repro
        (Tm.Campaign.Run { Tm.Campaign.default with seed = 33L; budget = 48 }))
 
+(* {1 Every XSK owns a NIC queue} *)
+
+(* Small UMems and rings keep a boot cheap enough to sample many shapes. *)
+let shape_config ~queues ~xsks =
+  {
+    Rakis.Config.default with
+    num_queues = queues;
+    num_xsks = xsks;
+    ring_size = 32;
+    umem_size = 64 * 2048;
+  }
+
+(* (num_queues, num_xsks), nic_queues *)
+let shape_gen =
+  QCheck.Gen.(pair (pair (int_range 1 4) (int_range 1 4)) (int_range 1 8))
+
+(* Every shape either gets the named boot error (more shards than NIC
+   queues), or boots with every XSK of every shard attached to at least
+   one NIC queue, and each such queue belonging to that shard
+   ([q mod num_queues = k]).  An XSK without a queue never sees its TX
+   complete, and its breaker then opens the shard onto the exit-based
+   slow path. *)
+let qcheck_every_xsk_owns_a_queue =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make ~name:"shape: every XSK owns a queue of its shard"
+       ~count:60
+       (QCheck.make
+          ~print:(fun ((q, x), n) ->
+            Printf.sprintf "num_queues=%d num_xsks=%d nic_queues=%d" q x n)
+          shape_gen)
+       (fun ((queues, xsks), nic_queues) ->
+         let engine = Sim.Engine.create () in
+         let kernel = Hostos.Kernel.create engine ~nic_queues () in
+         match
+           Rakis.Runtime.boot kernel ~sgx:true
+             ~config:(shape_config ~queues ~xsks) ()
+         with
+         | Error e ->
+             queues > nic_queues
+             && e
+                = Printf.sprintf
+                    "rakis config: num_queues (%d) exceeds NIC queues (%d)"
+                    queues nic_queues
+         | Ok rt ->
+             queues <= nic_queues
+             && List.for_all
+                  (fun k ->
+                    let xsks = Rakis.Runtime.shard_xsks rt k in
+                    Array.length xsks > 0
+                    && Array.for_all
+                         (fun xsk ->
+                           let qs = Hostos.Xdp.queues xsk in
+                           qs <> []
+                           && List.for_all (fun q -> q mod queues = k) qs)
+                         xsks)
+                  (List.init queues Fun.id)))
+
+(* {1 One FIFO across shard sockets} *)
+
+(* A datagram that reached shard 1 before another reached shard 0 is the
+   one [recvfrom] returns first: the reader serves the oldest head, not
+   shard 0 first. *)
+let test_recvfrom_oldest_head_first () =
+  let engine = Sim.Engine.create () in
+  let kernel = Hostos.Kernel.create engine ~nic_queues:2 () in
+  let rt =
+    match
+      Rakis.Runtime.boot kernel ~sgx:true
+        ~config:(shape_config ~queues:2 ~xsks:1) ()
+    with
+    | Ok rt -> rt
+    | Error e -> Alcotest.failf "boot: %s" e
+  in
+  let sock = Rakis.Runtime.udp_socket rt in
+  (match Rakis.Runtime.udp_bind rt sock 7000 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "bind: %a" Abi.Errno.pp e);
+  let config = Rakis.Runtime.config rt in
+  let frame payload =
+    Packet.Frame.build_udp
+      {
+        Packet.Frame.src_mac = Packet.Addr.Mac.of_repr "02:00:00:00:00:09";
+        dst_mac = config.Rakis.Config.mac;
+        src_ip = Packet.Addr.Ip.of_repr "10.0.0.9";
+        dst_ip = config.Rakis.Config.ip;
+        src_port = 4000;
+        dst_port = 7000;
+      }
+      (Bytes.of_string payload)
+  in
+  let advance_to c =
+    Sim.Engine.at engine c ignore;
+    Sim.Engine.run ~until:c engine
+  in
+  advance_to 1_000L;
+  Netstack.Stack.input (Rakis.Runtime.shard_stack rt 1) (frame "older");
+  advance_to 2_000L;
+  Netstack.Stack.input (Rakis.Runtime.shard_stack rt 0) (frame "newer");
+  let recv () =
+    match Rakis.Runtime.udp_recvfrom rt sock ~max:64 with
+    | Ok (payload, _) -> Bytes.to_string payload
+    | Error e -> Alcotest.failf "recvfrom: %a" Abi.Errno.pp e
+  in
+  Alcotest.(check string) "shard 1's older datagram first" "older" (recv ());
+  Alcotest.(check string) "then shard 0's" "newer" (recv ())
+
+(* {1 Multi-queue RAKIS on the fast path} *)
+
+let loadgen_run ~queues =
+  let h =
+    match
+      Apps.Harness.make Libos.Env.Rakis_sgx
+        ~rakis_config:
+          { Rakis.Config.default with num_queues = queues; num_xsks = 4 }
+        ~nic_queues:4 ()
+    with
+    | Ok h -> h
+    | Error e -> Alcotest.failf "harness boot: %s" e
+  in
+  let s =
+    Apps.Loadgen.run
+      ~config:{ Apps.Loadgen.default with Apps.Loadgen.ops = 3000 }
+      h ~server_threads:4
+  in
+  (h, s)
+
+(* The shape of [bench kv] and [loadgen --queues 2]: two shards of two
+   XSKs each on four NIC queues, four server threads.  It must run
+   entirely on the XSK fast path, like the single queue: no silent
+   loss, no enclave exit beyond the boot floor (the same 12 as one
+   queue), no slow-path call, no breaker open, no ring-check failure. *)
+let test_two_queues_stay_on_fast_path () =
+  let h, s = loadgen_run ~queues:2 in
+  check "every op completed" 3000 s.Apps.Loadgen.completed;
+  check "no silent loss" 0 s.Apps.Loadgen.unaccounted;
+  (match Apps.Harness.fast_path_verdict h with
+  | Apps.Harness.Held -> ()
+  | v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v);
+  let h1, _ = loadgen_run ~queues:1 in
+  check "exits equal the single-queue boot floor"
+    (Libos.Env.exits h1.Apps.Harness.env)
+    (Libos.Env.exits h.Apps.Harness.env)
+
 let suite =
   [
     qcheck_rss_bounded;
@@ -319,4 +462,9 @@ let suite =
       test_campaign_repro_roundtrip_with_queues;
     Alcotest.test_case "campaign: default keys stay out of tokens" `Quick
       test_default_keys_omitted;
+    qcheck_every_xsk_owns_a_queue;
+    Alcotest.test_case "recvfrom: oldest head first across shard sockets"
+      `Quick test_recvfrom_oldest_head_first;
+    Alcotest.test_case "e2e: 2-queue loadgen stays on the fast path" `Quick
+      test_two_queues_stay_on_fast_path;
   ]
