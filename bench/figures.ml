@@ -179,18 +179,11 @@ let table2 () =
         Sim.Engine.delay (Sim.Cycles.of_ms 2.);
         Sim.Engine.stop engine);
     Sim.Engine.run ~until:(Sim.Cycles.of_sec 20.) engine;
-    let umem_rejects =
-      Array.fold_left
-        (fun acc fm -> acc + Rakis.Xsk_fm.desc_rejects fm)
-        0
-        (Rakis.Runtime.xsk_fms runtime)
-    in
+    let tot = Rakis.Runtime.totals runtime in
     Format.printf "%-22s %8d %8d %8d %8d %10s@."
       (Format.asprintf "%a" Hostos.Malice.pp_attack attack)
-      (Hostos.Malice.fired m)
-      (Rakis.Runtime.total_ring_check_failures runtime)
-      umem_rejects
-      (Rakis.Runtime.total_desc_rejects runtime - umem_rejects)
+      (Hostos.Malice.fired m) tot.ring_check_failures tot.umem_rejects
+      tot.cqe_rejects
       (if Rakis.Runtime.invariant_holds runtime then "HELD" else "BROKEN")
   in
   (* The notif attacks only have a surface on the zero-copy io_uring
@@ -212,15 +205,16 @@ let table2 () =
     let fired =
       try List.assoc attack o.Tm.Campaign.fired with Not_found -> 0
     in
+    let tot = o.Tm.Campaign.totals in
     Format.printf "%-22s %8d %8d %8d %8d %10s@."
       (Format.asprintf "%a" Hostos.Malice.pp_attack attack)
-      fired o.Tm.Campaign.ring_rejects
-      (o.Tm.Campaign.desc_rejects - o.Tm.Campaign.zc_notif_rejects)
-      o.Tm.Campaign.zc_notif_rejects
+      fired tot.ring_check_failures
+      (tot.umem_rejects + tot.cqe_rejects - tot.zc_notif_rejects)
+      tot.zc_notif_rejects
       (if o.Tm.Campaign.invariant_ok && o.Tm.Campaign.violations = [] then
          (* a withheld notif strands frames, never breaks integrity;
             the campaign separately fails on the zc_leaks footprint *)
-         if o.Tm.Campaign.zc_leaks > 0 then "HELD*" else "HELD"
+         if tot.zc_leaks > 0 then "HELD*" else "HELD"
        else "BROKEN")
   in
   List.iter

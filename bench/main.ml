@@ -39,6 +39,17 @@ let json_harness () =
   | Ok h -> h
   | Error e -> failwith ("rakis-sgx: " ^ e)
 
+(* The host is honest, so a leg whose numbers are meant to measure RAKIS
+   must hold the fast-path verdict ({!Apps.Harness.fast_path_verdict}),
+   not ride the exit-based slow path. *)
+let require_fast_path what h =
+  match Apps.Harness.fast_path_verdict h with
+  | Apps.Harness.Held -> ()
+  | v ->
+      Format.printf "FAIL: %s left the fast path: %a@." what
+        Apps.Harness.pp_fast_path v;
+      exit 1
+
 let run_json () =
   let h = json_harness () in
   let r = Apps.Udp_echo.run h ~datagrams:2000 ~payload_size:512 in
@@ -53,6 +64,7 @@ let run_json () =
       ("p99_cycles", I r.Apps.Udp_echo.rtt_p99);
       ("exits", I (Libos.Env.exits h.Apps.Harness.env));
     ];
+  require_fast_path "udp_echo" h;
   let h = json_harness () in
   let r = Apps.Iperf.run h ~packet_size:1460 ~packets:12_000 in
   write_json "BENCH_iperf.json"
@@ -67,6 +79,7 @@ let run_json () =
       ("p99_cycles", I r.Apps.Iperf.gap_p99);
       ("exits", I (Libos.Env.exits h.Apps.Harness.env));
     ];
+  require_fast_path "iperf" h;
   let h = json_harness () in
   let r = Apps.Fstime.run h ~block_size:4096 ~blocks:3000 in
   write_json "BENCH_fstime.json"
@@ -237,16 +250,13 @@ let run_kv_json () =
       | Some rt -> rt
       | None -> failwith "kv: no RAKIS runtime"
     in
-    let ring = Rakis.Runtime.total_ring_check_failures rt
-    and desc = Rakis.Runtime.total_desc_rejects rt in
-    if ring > 0 || desc > 0 then
+    let tot = Rakis.Runtime.totals rt in
+    let desc = tot.umem_rejects + tot.cqe_rejects in
+    if tot.ring_check_failures > 0 || desc > 0 then
       fail "on an honest host: %d ring-check failures, %d descriptor rejects"
-        ring desc;
-    (if not crowd then
-       match Apps.Harness.fast_path_verdict h with
-       | Apps.Harness.Held -> ()
-       | v -> fail "left the fast path: %a" Apps.Harness.pp_fast_path v);
-    (s, Rakis.Runtime.total_overload_shed rt)
+        tot.ring_check_failures desc;
+    if not crowd then require_fast_path ("kv " ^ tag ^ " leg") h;
+    (s, tot.overload_shed)
   in
   let base, _ = run ~tag:"baseline" ~overload:false ~crowd:false in
   let hot, _ = run ~tag:"overload_nocontrol" ~overload:false ~crowd:true in
@@ -329,7 +339,9 @@ let run_lossy_json () =
       }
     in
     let s = Apps.Loadgen.run ~config h ~server_threads:kv_server_threads in
-    (s, Rakis.Runtime.total_wire_losses rt, s.Apps.Loadgen.unaccounted)
+    ( s,
+      (Rakis.Runtime.totals rt).wire_losses,
+      s.Apps.Loadgen.unaccounted )
   in
   let plain, plain_wire, plain_silent = leg ~rdp:false in
   let over, over_wire, over_silent = leg ~rdp:true in

@@ -198,11 +198,7 @@ let report_faults h injector =
           done;
           pb "uring" (Rakis.Runtime.uring_breaker rt);
           pb "mm" (Rakis.Runtime.mm_breaker rt);
-          let slow =
-            Obs.Metrics.get_counter
-              (Obs.metrics (Rakis.Runtime.obs rt))
-              "health.slow_calls"
-          in
+          let slow = (Rakis.Runtime.totals rt).slow_calls in
           if slow > 0 then Format.printf "slow-path calls: %d@." slow
       | None -> ())
 
@@ -236,29 +232,24 @@ let report ?(metrics = false) ?trace_file h =
   (match Libos.Env.runtime h.Apps.Harness.env with
   | None -> ()
   | Some rt ->
+      let tot = Rakis.Runtime.totals rt in
       Format.printf
         "rakis: ring-check failures %d, descriptor/CQE rejects %d, invariants %s@."
-        (Rakis.Runtime.total_ring_check_failures rt)
-        (Rakis.Runtime.total_desc_rejects rt)
+        tot.ring_check_failures
+        (tot.umem_rejects + tot.cqe_rejects)
         (if Rakis.Runtime.invariant_holds rt then "held" else "BROKEN");
       if (Rakis.Runtime.config rt).Rakis.Config.zerocopy then
         Format.printf
           "zerocopy: sends %d, fallbacks %d, notifs %d, notif rejects %d, \
            leaks %d@."
-          (Rakis.Runtime.total_zc_sends rt)
-          (Rakis.Runtime.total_zc_fallbacks rt)
-          (Rakis.Runtime.total_zc_notifs rt)
-          (Rakis.Runtime.total_zc_notif_rejects rt)
-          (Rakis.Runtime.total_zc_leaks rt);
+          tot.zc_sends tot.zc_fallbacks tot.zc_notifs tot.zc_notif_rejects
+          tot.zc_leaks;
       if (Rakis.Runtime.config rt).Rakis.Config.overload then
         Format.printf
           "overload: admitted %d, shed %d (control %d), edge drops %d, fill \
            throttles %d@."
-          (Rakis.Runtime.total_overload_admitted rt)
-          (Rakis.Runtime.total_overload_shed rt)
-          (Rakis.Runtime.total_control_shed rt)
-          (Rakis.Runtime.total_edge_drops rt)
-          (Rakis.Runtime.total_fill_throttles rt));
+          tot.overload_admitted tot.overload_shed tot.control_shed
+          tot.edge_drops tot.fill_throttles);
   dump_obs ~metrics ~trace_file h
 
 let hello_cmd =

@@ -137,13 +137,14 @@ let campaign ~budget ~faults_plan ~queues ~wire =
     (fun datapath ->
       let faults = C.failover_plan ~datapath ~budget:per_run in
       let o = C.run { base with datapath; seed = 81L; faults } in
+      let tot = o.C.totals in
       Format.printf
         "failover %-9s opens=%d failovers=%d closes=%d slow=%d \
          watchdog=%d scans=%d %s@."
-        (C.datapath_name datapath) o.C.breaker_opens o.C.breaker_failovers
-        o.C.breaker_closes o.C.slow_calls o.C.watchdog_restarts
+        (C.datapath_name datapath) tot.breaker_opens tot.breaker_failovers
+        tot.breaker_closes tot.slow_calls o.C.watchdog_restarts
         o.C.degraded_scans (verdict o);
-      if o.C.breaker_opens = 0 then begin
+      if tot.breaker_opens = 0 then begin
         incr failures;
         Format.printf "failover %s: breaker never opened@."
           (C.datapath_name datapath)
@@ -206,11 +207,12 @@ let campaign ~budget ~faults_plan ~queues ~wire =
       ]
     in
     let o = C.run { base with seed = 91L; faults } in
+    let shard_opens = o.C.totals.shard_opens in
     let leaked =
-      List.exists (( < ) 0) (List.filteri (fun k _ -> k <> 1) o.C.shard_opens)
+      List.exists (( < ) 0) (List.filteri (fun k _ -> k <> 1) shard_opens)
     in
     Format.printf "containment xsk shard-1 fault: opens=[%s] lost=%d %s@."
-      (String.concat ";" (List.map string_of_int o.C.shard_opens))
+      (String.concat ";" (List.map string_of_int shard_opens))
       o.C.lost
       (if leaked || C.failed o then "FAIL" else "ok");
     if leaked then begin

@@ -98,5 +98,3 @@ val read_cqe : Mem.Region.t -> int -> cqe
 
 val res_of_errno : Errno.t -> int
 (** [-errno]. *)
-
-val pp_opcode : Format.formatter -> opcode -> unit

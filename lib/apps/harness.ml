@@ -23,7 +23,7 @@ let seconds t = Sim.Cycles.to_sec (Sim.Engine.now t.engine)
 let accounted t =
   let kstats = Sim.Engine.stats t.engine in
   (match Libos.Env.runtime t.env with
-  | Some rt -> Rakis.Runtime.accounted_losses rt
+  | Some rt -> (Rakis.Runtime.totals rt).accounted_losses
   | None -> 0)
   + Sim.Stats.get kstats "udp.no_socket_drops"
   + Sim.Stats.get kstats "udp.buffer_drops"
@@ -43,24 +43,16 @@ let fast_path_verdict t =
          || Hostos.Kernel.malice t.kernel <> None ->
       Not_applicable
   | Some rt ->
-      let module R = Rakis.Runtime in
-      let breakers =
-        R.uring_breaker rt :: R.mm_breaker rt
-        :: List.init (R.shard_count rt) (R.shard_breaker rt)
-      in
-      let metrics = Obs.metrics (R.obs rt) in
-      let opens =
-        List.fold_left (fun acc b -> acc + Rakis.Health.opens b) 0 breakers
-      in
+      let tot = Rakis.Runtime.totals rt in
       let clauses =
         [
           ( "enclave exits after boot",
-            Libos.Env.exits t.env - R.setup_exits rt );
-          ( "health.slow_calls",
-            Obs.Metrics.get_counter metrics "health.slow_calls" );
-          ("breaker opens", opens);
-          ("ring-check failures", R.total_ring_check_failures rt);
-          ("descriptor/CQE rejects", R.total_desc_rejects rt);
+            Libos.Env.exits t.env - Rakis.Runtime.setup_exits rt );
+          ("health.slow_calls", tot.slow_calls);
+          ("breaker opens", tot.breaker_opens);
+          ("ring-check failures", tot.ring_check_failures);
+          ("UMem rejects", tot.umem_rejects);
+          ("CQE rejects", tot.cqe_rejects);
         ]
       in
       match

@@ -31,7 +31,7 @@ val seconds : t -> float
 
 val accounted : t -> int
 (** Every datagram death with a counter, each counted once:
-    {!Rakis.Runtime.accounted_losses} ([0] off RAKIS), the client
+    [accounted_losses] of {!Rakis.Runtime.totals} ([0] off RAKIS), the client
     kernel's [udp.no_socket_drops], [udp.buffer_drops] and
     [udp.close_drops], and both NICs' queue overflows
     ({!Hostos.Nic.drops}). *)
@@ -54,6 +54,7 @@ val fast_path_verdict : t -> fast_path
     wire weather) and no malice installed — a RAKIS run holds the
     verdict iff it shows no enclave exit beyond
     {!Rakis.Runtime.setup_exits}, no [health.slow_calls], no breaker
-    open, no ring-check failure and no descriptor/CQE reject. *)
+    open, no ring-check failure, no UMem reject and no CQE reject, all
+    read from {!Rakis.Runtime.totals}. *)
 
 val pp_fast_path : Format.formatter -> fast_path -> unit

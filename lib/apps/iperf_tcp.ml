@@ -90,11 +90,8 @@ let run ?(chunk_size = 16 * 1024) (h : Harness.t) ~bytes =
   let zerocopy, zc_sends, zc_fallbacks, zc_notifs, zc_leaks =
     match Libos.Env.runtime h.env with
     | Some rt when (Rakis.Runtime.config rt).Rakis.Config.zerocopy ->
-        ( true,
-          Rakis.Runtime.total_zc_sends rt,
-          Rakis.Runtime.total_zc_fallbacks rt,
-          Rakis.Runtime.total_zc_notifs rt,
-          Rakis.Runtime.total_zc_leaks rt )
+        let tot = Rakis.Runtime.totals rt in
+        (true, tot.zc_sends, tot.zc_fallbacks, tot.zc_notifs, tot.zc_leaks)
     | _ -> (false, 0, 0, 0, 0)
   in
   {

@@ -22,7 +22,7 @@ type result = {
           teardown drain that reaps the final notif *)
   goodput_gbps : float;
   cycles_per_byte : float;  (** [duration / bytes_sent] *)
-  zc_sends : int;  (** frames lent on SEND_ZC ({!Rakis.Runtime.total_zc_sends}) *)
+  zc_sends : int;  (** frames lent on SEND_ZC ({!Rakis.Runtime.totals}) *)
   zc_fallbacks : int;
   zc_notifs : int;
   zc_leaks : int;

@@ -226,15 +226,9 @@ let set_breaker t b = t.breaker <- Some b
 
 let set_probe_mode t on = t.probe_mode <- on
 
-let sq_ring t = t.sq
-
-let cq_ring t = t.cq
-
 let cqe_rejects t = Obs.Metrics.value t.cqe_rejects
 
 let retries t = Obs.Metrics.value t.retries
-
-let retry_successes t = Obs.Metrics.value t.retry_success
 
 let retries_exhausted t = Obs.Metrics.value t.retry_exhausted
 
@@ -253,10 +247,6 @@ let invariant_holds t =
 let inflight t = Hashtbl.length t.pending
 
 let sheds t = Obs.Metrics.value t.sheds
-
-let zc_enabled t = t.zc <> None
-
-let zc_pool t = Option.map (fun z -> z.pool) t.zc
 
 let zc_sends t =
   match t.zc with None -> 0 | Some z -> Obs.Metrics.value z.zc_sends

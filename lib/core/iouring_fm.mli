@@ -126,12 +126,6 @@ val nop : t -> (int, Abi.Errno.t) result
 
 (** {1 Introspection} *)
 
-val sq_ring : t -> Rings.Certified.t
-(** The certified iSub (submission) ring. *)
-
-val cq_ring : t -> Rings.Certified.t
-(** The certified iCompl (completion) ring. *)
-
 val ring_check_failures : t -> int
 (** Index rejections summed over iSub and iCompl. *)
 
@@ -142,9 +136,6 @@ val retries : t -> int
 (** Transient-failure retries taken (["<name>.retries"]).  Every
     synchronous operation retries {!Config.retry_limit} times with
     {!Sim.Backoff} before reporting [ETIMEDOUT] (DESIGN.md §8). *)
-
-val retry_successes : t -> int
-(** Operations that succeeded only after at least one retry. *)
 
 val retries_exhausted : t -> int
 (** Operations that gave up after {!Config.retry_limit} retries. *)
@@ -175,12 +166,6 @@ val accounting_holds : t -> bool
     [Registered] frame.  Rolled into {!Runtime.invariant_holds}. *)
 
 (** {1 Zero-copy introspection} *)
-
-val zc_enabled : t -> bool
-
-val zc_pool : t -> Umem.t option
-(** The zero-copy frame pool's ownership map ([None] on the copy
-    path). *)
 
 val zc_sends : t -> int
 (** Frames lent out on SEND_ZC submissions (["<name>.zc_sends"]). *)

@@ -130,17 +130,9 @@ let tx_wakeup_syscalls t = Obs.Metrics.value t.tx_wakeups
 
 let uring_wakeup_syscalls t = Obs.Metrics.value t.uring_wakeups
 
-let scan_count t = Obs.Metrics.value t.scans
-
-let forced_enters t = Obs.Metrics.value t.forced_enters
-
-let forced_tx_wakeups t = Obs.Metrics.value t.forced_tx
-
 let alive t = t.alive
 
 let last_beat t = t.last_beat
-
-let heartbeats t = Obs.Metrics.value t.beats
 
 let crashes t = Obs.Metrics.value t.crashes
 

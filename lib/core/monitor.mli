@@ -84,8 +84,6 @@ val alive : t -> bool
 val last_beat : t -> int64
 (** Simulation time of the current incarnation's most recent beat. *)
 
-val heartbeats : t -> int
-
 val crashes : t -> int
 (** Injected MM crashes observed so far (["mm.crashes"]). *)
 
@@ -103,18 +101,6 @@ val tx_wakeup_syscalls : t -> int
 
 val uring_wakeup_syscalls : t -> int
 (** [io_uring_enter] wakeups issued for iSub advances. *)
-
-val scan_count : t -> int
-(** Watched-ring scan passes executed by the MM thread. *)
-
-val forced_enters : t -> int
-(** [io_uring_enter] wakeups issued {e solely} because of
-    {!nudge_uring} — iSub had not advanced.  These measure the
-    liveness-recovery overhead under iCompl index-smashing attacks. *)
-
-val forced_tx_wakeups : t -> int
-(** [sendto] wakeups issued solely because of {!nudge_xsk} — xTX had
-    not advanced (["mm.forced_tx"]). *)
 
 type observation = {
   obs_alive : bool;

@@ -38,14 +38,16 @@ val create :
 (** [name] defaults to ["overload"]; the runtime passes
     ["overload.<k>"] per shard and ["overload.uring"] for the
     runtime-wide io_uring pending-table guard.  Tuning knobs default to
-    {!default_target} etc. *)
+    a 50 µs sojourn target over a 200 µs interval, watermarks
+    {!default_high_watermark} / {!default_low_watermark}, and 64 data
+    admissions per interval with a burst of 32 under pressure. *)
 
 (** {1 Feeding the controller} *)
 
 val note_depth : ?src:int -> t -> int -> unit
 (** Depth sample from one of the shard's guarded queues — [src] 0 is
     the netstack socket queue, [src] 1+i each XSK's rx-ring backlog
-    (at most {!max_depth_sources} sources; out-of-range [src] clamps).
+    (at most 8 sources; out-of-range [src] clamps).
     The watermark logic runs on the {e max} of the last sample from
     every source, so a shallow socket queue cannot clear a saturation
     raised by a flooded ring.  Effective depth >= [high_watermark]
@@ -53,8 +55,6 @@ val note_depth : ?src:int -> t -> int -> unit
     back to [low_watermark] (hysteresis — no flapping at the
     boundary).  Called from both the enqueue and dequeue paths so a
     starved queue still clears the mark as it drains. *)
-
-val max_depth_sources : int
 
 val observe_sojourn : t -> int64 -> unit
 (** One dequeue's queueing delay in cycles.  Sojourn above [target] for
@@ -103,8 +103,6 @@ val now : t -> int64
 
 val admitted : t -> int
 
-val data_admitted : t -> int
-
 val control_admitted : t -> int
 
 val data_shed : t -> int
@@ -115,10 +113,6 @@ val deadline_shed : t -> int
 val control_shed : t -> int
 (** Always [0] — [Control] is never refused; exposed so the soak
     assertions read a counter, not a comment. *)
-
-val edge_throttle_count : t -> int
-
-val sojourn_histogram : t -> Obs.Metrics.histogram
 
 (** {1 Pure observation (golden traces / conformance)} *)
 
@@ -138,14 +132,6 @@ val pp_observation : Format.formatter -> observation -> unit
 
 (** {1 Defaults (DESIGN.md §15)} *)
 
-val default_target : int64
-
-val default_interval : int64
-
 val default_high_watermark : int
 
 val default_low_watermark : int
-
-val default_rate : int
-
-val default_burst : int

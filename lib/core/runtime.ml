@@ -73,7 +73,7 @@ and udp_sock = {
   mutable activity_set : Sim.Condition.set;
 }
 
-and thread = { runtime : t; proxy : Syncproxy.t }
+and thread = { proxy : Syncproxy.t }
 
 let enclave t = t.enclave
 
@@ -98,11 +98,6 @@ let shard_count t = Array.length t.shards
 
 let xsk_fms t = Array.concat (Array.to_list (Array.map (fun sh -> sh.sh_fms) t.shards))
 
-let owns_port t port = Hashtbl.mem t.owned_ports port
-
-let tx_round_robin t =
-  Array.fold_left (fun acc sh -> acc + sh.tx_counter) 0 t.shards
-
 let xsk_breaker t = t.shards.(0).sh_breaker
 
 let uring_breaker t = t.uring_breaker
@@ -110,33 +105,6 @@ let uring_breaker t = t.uring_breaker
 let mm_breaker t = t.mm_breaker
 
 let shard_breaker t k = t.shards.(k).sh_breaker
-
-(* Pure product-machine observation: every breaker's full snapshot plus
-   every shard MM's liveness, named per instance.  The TM's golden
-   traces and the explorer's conformance checks read this (never the
-   raw mutable fields), so refactors of the runtime internals show up
-   as an observation diff, not a silent drift. *)
-let health_observations t =
-  let shard_obs =
-    List.concat
-      (List.init (Array.length t.shards) (fun k ->
-           let name =
-             if Array.length t.shards = 1 then "xsk" else Printf.sprintf "xsk.%d" k
-           in
-           [ (name, Health.observe t.shards.(k).sh_breaker) ]))
-  in
-  shard_obs
-  @ [ ("uring", Health.observe t.uring_breaker);
-      ("mm", Health.observe t.mm_breaker) ]
-
-let monitor_observations t =
-  List.init (Array.length t.shards) (fun k ->
-      let name =
-        if Array.length t.shards = 1 then "mm" else Printf.sprintf "mm.%d" k
-      in
-      (name, Monitor.observe t.shards.(k).sh_monitor))
-
-let shard_monitor t k = t.shards.(k).sh_monitor
 
 let shard_fms t k = t.shards.(k).sh_fms
 
@@ -934,130 +902,109 @@ let new_thread t =
       (match t.uring_overload with
       | Some ov -> Syncproxy.set_overload proxy ov
       | None -> ());
-      let thread = { runtime = t; proxy } in
+      let thread = { proxy } in
       t.threads <- thread :: t.threads;
       Ok thread
 
 let syncproxy thread = thread.proxy
 
-let thread_runtime thread = thread.runtime
+(* {1 End-of-run totals} *)
 
-(* {1 Introspection} *)
+type totals = {
+  ring_check_failures : int;
+  umem_rejects : int;
+  cqe_rejects : int;
+  zc_sends : int;
+  zc_fallbacks : int;
+  zc_notifs : int;
+  zc_notif_rejects : int;
+  zc_leaks : int;
+  overload_admitted : int;
+  overload_shed : int;
+  control_shed : int;
+  edge_drops : int;
+  fill_throttles : int;
+  wire_losses : int;
+  accounted_drops : int;
+  accounted_losses : int;
+  breaker_opens : int;
+  breaker_failovers : int;
+  breaker_closes : int;
+  shard_opens : int list;
+  slow_calls : int;
+}
 
-let total_ring_check_failures t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left
-          (fun acc fm -> acc + Xsk_fm.ring_check_failures fm)
-          0 sh.sh_fms)
-    0 t.shards
-  + List.fold_left
-      (fun acc th -> acc + Iouring_fm.ring_check_failures (Syncproxy.fm th.proxy))
-      0 t.threads
-
-let total_desc_rejects t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left (fun acc fm -> acc + Xsk_fm.desc_rejects fm) 0 sh.sh_fms)
-    0 t.shards
-  + List.fold_left
-      (fun acc th -> acc + Iouring_fm.cqe_rejects (Syncproxy.fm th.proxy))
-      0 t.threads
-
-let sum_uring t f =
-  List.fold_left (fun acc th -> acc + f (Syncproxy.fm th.proxy)) 0 t.threads
-
-let total_zc_sends t = sum_uring t Iouring_fm.zc_sends
-
-let total_zc_fallbacks t = sum_uring t Iouring_fm.zc_fallbacks
-
-let total_zc_notifs t = sum_uring t Iouring_fm.zc_notifs
-
-let total_zc_notif_rejects t = sum_uring t Iouring_fm.zc_notif_rejects
-
-let total_zc_leaks t = sum_uring t Iouring_fm.zc_leaks
-
-(* {1 Overload introspection (DESIGN.md §15)} *)
-
-let shard_overload t k = t.shards.(k).sh_overload
-
-let uring_overload t = t.uring_overload
-
-let overload_controllers t =
-  List.filter_map Fun.id
-    (Array.to_list (Array.map (fun sh -> sh.sh_overload) t.shards))
-  @ (match t.uring_overload with Some ov -> [ ov ] | None -> [])
-
-let total_overload_shed t =
-  List.fold_left (fun acc ov -> acc + Overload.data_shed ov) 0
-    (overload_controllers t)
-
-let total_overload_admitted t =
-  List.fold_left (fun acc ov -> acc + Overload.admitted ov) 0
-    (overload_controllers t)
-
-let total_control_shed t =
-  List.fold_left (fun acc ov -> acc + Overload.control_shed ov) 0
-    (overload_controllers t)
-
-(* Frames the host NIC dropped at the edge (fill starvation — including
-   throttle-driven starvation — or oversized frames): the accounted
-   destination of the flood an edge-throttled shard refuses to buffer. *)
-let total_edge_drops t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left
-          (fun acc xsk -> acc + Hostos.Xdp.rx_dropped xsk)
-          0 sh.sh_xsks)
-    0 t.shards
-
-let total_fill_throttles t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left (fun acc fm -> acc + Xsk_fm.fill_throttles fm) 0 sh.sh_fms)
-    0 t.shards
-
-(* Frames the injected wire faults destroyed in flight, either link
-   direction.  A truncated frame is double-booked (once here, once as
-   the parse-reject it becomes downstream); the accounting gates are
-   one-sided inequalities, so over-counting is safe where an uncounted
-   loss would not be. *)
-let total_wire_losses t =
-  Hostos.Nic.wire_losses (Hostos.Kernel.nic t.kernel 0)
-  + Hostos.Nic.wire_losses (Hostos.Kernel.nic t.kernel 1)
-
-(* Datagrams that died with an accounting trail, runtime-wide: netstack
-   drop counters (bad packets, queue-full, overload sheds), NIC edge
-   drops, wire-fault losses, and descriptor/ring rejects.  The soak
-   harness checks every client-side loss against this total — silent
-   loss means a datagram vanished with {e no} counter anywhere, which is
-   a soak failure. *)
-let total_accounted_drops t =
-  Array.fold_left
-    (fun acc sh -> acc + Netstack.Stack.rx_dropped sh.sh_stack)
-    0 t.shards
-  + total_edge_drops t + total_desc_rejects t + total_ring_check_failures t
-  + total_wire_losses t
-
-(* The accounted-loss owner: [total_accounted_drops] plus the overload
-   sheds it does not already hold.  An rx-gate shed is both a
-   controller [shed.data] and a stack [drop.overload-shed]; TX-side
-   EAGAIN and SyncProxy sheds are only the former. *)
-let accounted_losses t =
-  let rx_gate_sheds =
-    Array.fold_left
-      (fun acc sh ->
-        acc
-        + Option.value ~default:0
-            (List.assoc_opt "overload-shed"
-               (Netstack.Stack.drop_reasons sh.sh_stack)))
-      0 t.shards
+let totals t =
+  let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
+  let shards = Array.to_list t.shards in
+  let fms = Array.to_list (xsk_fms t) in
+  let xsks = List.concat_map (fun sh -> Array.to_list sh.sh_xsks) shards in
+  let urings = List.map (fun th -> Syncproxy.fm th.proxy) t.threads in
+  let controllers =
+    List.filter_map (fun sh -> sh.sh_overload) shards
+    @ Option.to_list t.uring_overload
   in
-  total_accounted_drops t + total_overload_shed t - rx_gate_sheds
+  let shard_breakers = List.map (fun sh -> sh.sh_breaker) shards in
+  let breakers = t.uring_breaker :: t.mm_breaker :: shard_breakers in
+  let ring_check_failures =
+    sum Xsk_fm.ring_check_failures fms + sum Iouring_fm.ring_check_failures urings
+  and umem_rejects = sum Xsk_fm.desc_rejects fms
+  and cqe_rejects = sum Iouring_fm.cqe_rejects urings
+  and overload_shed = sum Overload.data_shed controllers
+  (* Frames the host NIC dropped at the edge (fill starvation — including
+     throttle-driven starvation — or oversized frames): the accounted
+     destination of the flood an edge-throttled shard refuses to buffer. *)
+  and edge_drops = sum Hostos.Xdp.rx_dropped xsks
+  (* A truncated frame is double-booked (once here, once as the
+     parse-reject it becomes downstream); the accounting gates are
+     one-sided inequalities, so over-counting is safe where an uncounted
+     loss would not be. *)
+  and wire_losses =
+    Hostos.Nic.wire_losses (Hostos.Kernel.nic t.kernel 0)
+    + Hostos.Nic.wire_losses (Hostos.Kernel.nic t.kernel 1)
+  in
+  let accounted_drops =
+    sum (fun sh -> Netstack.Stack.rx_dropped sh.sh_stack) shards
+    + edge_drops + umem_rejects + cqe_rejects + ring_check_failures + wire_losses
+  in
+  (* An rx-gate shed is both a controller [shed.data] and a stack
+     [drop.overload-shed]; TX-side EAGAIN and SyncProxy sheds are only
+     the former. *)
+  let rx_gate_sheds =
+    sum
+      (fun sh ->
+        Option.value ~default:0
+          (List.assoc_opt "overload-shed"
+             (Netstack.Stack.drop_reasons sh.sh_stack)))
+      shards
+  in
+  {
+    ring_check_failures;
+    umem_rejects;
+    cqe_rejects;
+    zc_sends = sum Iouring_fm.zc_sends urings;
+    zc_fallbacks = sum Iouring_fm.zc_fallbacks urings;
+    zc_notifs = sum Iouring_fm.zc_notifs urings;
+    zc_notif_rejects = sum Iouring_fm.zc_notif_rejects urings;
+    zc_leaks = sum Iouring_fm.zc_leaks urings;
+    overload_admitted = sum Overload.admitted controllers;
+    overload_shed;
+    control_shed = sum Overload.control_shed controllers;
+    edge_drops;
+    fill_throttles = sum Xsk_fm.fill_throttles fms;
+    wire_losses;
+    accounted_drops;
+    accounted_losses = accounted_drops + overload_shed - rx_gate_sheds;
+    breaker_opens = sum Health.opens breakers;
+    breaker_failovers = sum Health.failovers breakers;
+    breaker_closes = sum Health.closes breakers;
+    shard_opens = List.map Health.opens shard_breakers;
+    slow_calls = Obs.Metrics.get_counter (Obs.metrics t.obs) "health.slow_calls";
+  }
+
+let total_ring_check_failures t = (totals t).ring_check_failures
+
+let total_accounted_drops t = (totals t).accounted_drops
 
 let shard_stack t k = t.shards.(k).sh_stack
 

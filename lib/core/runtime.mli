@@ -111,9 +111,6 @@ val xsk_fms : t -> Xsk_fm.t array
 (** Every XSK FastPath Module in the system, shard-major ([num_queues *
     num_xsks] total; shard 0's FMs first). *)
 
-val owns_port : t -> int -> bool
-(** Is this UDP port currently served by RAKIS (bound in the enclave)? *)
-
 (** {1 Shards} *)
 
 val shard_count : t -> int
@@ -123,15 +120,11 @@ val shard_breaker : t -> int -> Health.t
 (** Shard [k]'s XSK circuit breaker (["health.xsk.<k>.*"] when sharded,
     ["health.xsk.*"] for the single shard). *)
 
-val shard_monitor : t -> int -> Monitor.t
-(** Shard [k]'s Monitor Module. *)
-
 val shard_fms : t -> int -> Xsk_fm.t array
 (** Shard [k]'s XSK FastPath Modules. *)
 
 val shard_xsks : t -> int -> Hostos.Xdp.xsk array
-(** Shard [k]'s host-side XSK handles, for edge-drop forensics
-    ({!Hostos.Xdp.rx_drop_reasons}) — which layer refused, and why. *)
+(** Shard [k]'s host-side XSK handles. *)
 
 val shard_rx_delivered : t -> int -> int
 (** Datagrams shard [k]'s stack delivered to sockets — the per-shard RX
@@ -142,53 +135,6 @@ val shard_tx_frames : t -> int -> int
 
 val shard_stack : t -> int -> Netstack.Stack.t
 (** Shard [k]'s in-enclave UDP/IP stack instance. *)
-
-(** {1 Overload control (DESIGN.md §15)} *)
-
-val shard_overload : t -> int -> Overload.t option
-(** Shard [k]'s overload controller (["overload.<k>.*"] when sharded,
-    ["overload.*"] for the single shard); [None] unless
-    [config.overload]. *)
-
-val uring_overload : t -> Overload.t option
-(** The runtime-wide controller guarding every thread's SyncProxy
-    pending table (["overload.uring.*"]); [None] unless
-    [config.overload]. *)
-
-val total_overload_shed : t -> int
-(** Data admissions refused by any controller — each one surfaced to
-    the application as an accounted [EAGAIN], never a silent drop. *)
-
-val total_overload_admitted : t -> int
-
-val total_control_shed : t -> int
-(** Control-class (breaker probe / Monitor) refusals; [0] by
-    construction, exposed so soak assertions read a counter. *)
-
-val total_edge_drops : t -> int
-(** Frames the host NIC dropped at the edge across every shard's XSKs
-    — where the fill-ring throttle pushes the flood while a shard is
-    saturated. *)
-
-val total_fill_throttles : t -> int
-(** Refill iterations clamped by the overload edge throttle. *)
-
-val total_wire_losses : t -> int
-(** Frames the injected wire faults destroyed in flight on either link
-    direction (drop + trunc + runt + giant), summed over both NICs. *)
-
-val total_accounted_drops : t -> int
-(** Every datagram death that left an accounting trail: netstack drop
-    counters (including overload sheds), NIC edge drops, wire-fault
-    losses, and descriptor/ring rejects.  Loss checks read
-    {!accounted_losses}, which builds on this total. *)
-
-val accounted_losses : t -> int
-(** Every server-side datagram death, each counted once:
-    {!total_accounted_drops} plus the overload sheds the netstack drop
-    counters do not already hold (TX-side [EAGAIN] and SyncProxy sheds;
-    rx-gate sheds are already there as [drop.overload-shed]).  The one
-    server-side leg of {!Apps.Harness.unaccounted}. *)
 
 (** {1 Degraded mode (DESIGN.md §9)} *)
 
@@ -215,16 +161,6 @@ val mm_breaker : t -> Health.t
     open means the watchdog stops restarting persistently dying MMs and
     carries the load with in-enclave degraded scans instead.  One
     breaker for all shards — the watchdog is a single enclave thread. *)
-
-val health_observations : t -> (string * Health.observation) list
-(** Pure snapshot of every breaker in the machine — per-shard XSK
-    breakers (named ["xsk"] / ["xsk.<k>"]) then ["uring"] and ["mm"] —
-    the observation hook golden traces and the TM explorer's
-    conformance checks consume (DESIGN.md §11).  Side-effect free. *)
-
-val monitor_observations : t -> (string * Monitor.observation) list
-(** Pure snapshot of every shard MM's liveness state and wakeup
-    counters (named ["mm"] / ["mm.<k>"]).  Side-effect free. *)
 
 (** {1 UDP syscalls (XDP fast path — no enclave exits)} *)
 
@@ -282,39 +218,69 @@ val new_thread : t -> (thread, string) result
 val syncproxy : thread -> Syncproxy.t
 (** The thread's SyncProxy, through which blocking IO syscalls go. *)
 
-val thread_runtime : thread -> t
-(** The runtime the thread belongs to. *)
+(** {1 End-of-run totals} *)
 
-(** {1 Introspection} *)
+type totals = {
+  ring_check_failures : int;
+      (** certified-ring index rejections, every ring in the system (all
+          shards' XSK quads plus every io_uring SQ/CQ pair) *)
+  umem_rejects : int;  (** out-of-UMem XSK descriptors, every shard *)
+  cqe_rejects : int;  (** forged or stray io_uring CQEs, every thread *)
+  zc_sends : int;  (** SEND_ZC frames lent to the kernel *)
+  zc_fallbacks : int;
+      (** zero-copy ops degraded to the copy path (dry pool or bounced
+          submission) *)
+  zc_notifs : int;  (** validated notifs: frames returned from [Registered] *)
+  zc_notif_rejects : int;  (** forged-early plus stray/duplicate notifs *)
+  zc_leaks : int;
+      (** lent frames still awaiting a notif the host withheld: non-zero
+          at quiescence is the dropped-notif attack's footprint *)
+  overload_admitted : int;  (** admissions, every overload controller *)
+  overload_shed : int;
+      (** data admissions refused, each surfaced to the application as
+          an accounted [EAGAIN], never a silent drop *)
+  control_shed : int;
+      (** control-class (breaker probe / Monitor) refusals: [0] by
+          construction, a counter so soak assertions can read it *)
+  edge_drops : int;
+      (** frames the host NIC dropped at the edge, every shard's XSKs:
+          where the fill-ring throttle pushes a flood *)
+  fill_throttles : int;  (** refills clamped by the overload edge throttle *)
+  wire_losses : int;
+      (** frames the injected wire faults destroyed in flight (drop +
+          trunc + runt + giant), both NICs *)
+  accounted_drops : int;
+      (** every datagram death with an accounting trail: netstack drop
+          counters (rx-gate sheds included), [edge_drops], [wire_losses],
+          [umem_rejects], [cqe_rejects] and [ring_check_failures] *)
+  accounted_losses : int;
+      (** every server-side datagram death, each counted once:
+          [accounted_drops] plus the sheds the netstack counters do not
+          hold (TX-side [EAGAIN], SyncProxy sheds).  The one server-side
+          leg of {!Apps.Harness.unaccounted} *)
+  breaker_opens : int;
+      (** trips summed over every breaker: each shard's XSK breaker, the
+          uring breaker and the MM breaker *)
+  breaker_failovers : int;  (** ops rerouted to the slow path, every breaker *)
+  breaker_closes : int;  (** half-open probes that failed back, every breaker *)
+  shard_opens : int list;
+      (** per-shard XSK breaker trips in shard order: the containment
+          witness, a fault pinned to shard [k] leaves every other entry 0 *)
+  slow_calls : int;  (** host syscalls the exit-based slow path performed *)
+}
+(** What a finished run did, summed over every shard, thread, overload
+    controller and breaker.  The overload fields are [0] unless
+    [config.overload]; the zero-copy fields are [0] unless
+    [config.zerocopy]. *)
+
+val totals : t -> totals
+(** The machine's totals now; read-only. *)
 
 val total_ring_check_failures : t -> int
-(** Certified-ring index rejections summed over every ring in the
-    system (all shards' XSK quads plus io_uring SQ/CQ pairs). *)
+(** [(totals t).ring_check_failures]; perfbench reads it. *)
 
-val total_desc_rejects : t -> int
-(** Descriptor-level rejections: out-of-UMem XSK descriptors plus
-    forged/stray io_uring CQEs. *)
-
-val total_zc_sends : t -> int
-(** SEND_ZC frames lent to the kernel, summed over every io_uring FM
-    (zero when [config.zerocopy] is off). *)
-
-val total_zc_fallbacks : t -> int
-(** Zero-copy operations that degraded to the copy path (dry pool or
-    bounced submission), summed over every io_uring FM. *)
-
-val total_zc_notifs : t -> int
-(** Validated notifs — frames returned from [Registered] — summed over
-    every io_uring FM. *)
-
-val total_zc_notif_rejects : t -> int
-(** Refused notifs (forged-early + stray/duplicate), summed over every
-    io_uring FM. *)
-
-val total_zc_leaks : t -> int
-(** Frames still awaiting a notif the host has withheld, summed over
-    every io_uring FM.  Non-zero at quiescence is the dropped-notif
-    attack's footprint and a campaign failure. *)
+val total_accounted_drops : t -> int
+(** [(totals t).accounted_drops]; perfbench reads it. *)
 
 val invariant_holds : t -> bool
 (** Conjunction of every certified ring's local invariant, every UMem's
@@ -342,9 +308,6 @@ val watchdog_restarts : t -> int
 val watchdog_degraded_scans : t -> int
 (** In-enclave degraded scans the watchdog ran in place of a healthy
     Monitor Module (["watchdog.degraded_scans"]). *)
-
-val tx_round_robin : t -> int
-(** Frames transmitted through the stacks' transmit hooks (all shards). *)
 
 val udp_activity : t -> udp_sock -> Sim.Condition.t list
 (** Activity conditions of a bound socket, one per shard (poll support);

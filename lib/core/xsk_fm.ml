@@ -324,8 +324,6 @@ let breaker_failure t =
 let breaker_success t =
   match t.breaker with None -> () | Some b -> Health.record_success b
 
-let tx_inflight t = t.tx_inflight_n
-
 let fill_ring t = t.fill
 
 let rx_ring t = t.rx
@@ -340,15 +338,9 @@ let rx_packets t = Obs.Metrics.value t.rx_packets
 
 let tx_packets t = Obs.Metrics.value t.tx_packets
 
-let tx_frame_drops t = Obs.Metrics.value t.tx_frame_drops
-
 let tx_rekicks t = Obs.Metrics.value t.tx_rekicks
 
 let reinits t = Obs.Metrics.value t.reinits
-
-let reinit_reclaimed t = Obs.Metrics.value t.reinit_reclaimed
-
-let rx_starvation_reclaims t = Obs.Metrics.value t.rx_starvation_reclaims
 
 let ring_check_failures t =
   Rings.Certified.failures t.fill

@@ -155,13 +155,6 @@ val rx_packets : t -> int
 val tx_packets : t -> int
 (** Frames queued on xTX. *)
 
-val tx_inflight : t -> int
-(** Frames committed to xTX and not yet reclaimed (what
-    {!failover_reroute} would rescue right now). *)
-
-val tx_frame_drops : t -> int
-(** Transmits abandoned because no UMem frame was free. *)
-
 val tx_rekicks : t -> int
 (** Forced TX wakeups requested by the rekick timer
     (["<name>.tx_rekicks"]). *)
@@ -170,20 +163,6 @@ val reinits : t -> int
 (** Quarantine-and-reinit episodes: persistent certified-ring failures
     (≥ {!Config.reinit_threshold} across consecutive iterations)
     triggered a ring resync (["<name>.reinits"]). *)
-
-val reinit_reclaimed : t -> int
-(** UMem frames pulled home by those reinits
-    (["<name>.reinit_reclaimed"]) — frames the kernel would otherwise
-    have leaked forever. *)
-
-val rx_starvation_reclaims : t -> int
-(** Reinits forced by the stranded-RX deadman
-    (["<name>.rx_starvation_reclaims"]): RX frames stayed promised to
-    the kernel — consumed off xFill, never surfacing on xRX — for a
-    full {!Sgx.Params.xsk_rx_reclaim_period} with every ring view
-    self-consistent.  Descriptor refusals under attack strand frames
-    this way; without the deadman the fill clamp then starves refill
-    forever with the breaker closed (metastable wedge). *)
 
 val invariant_holds : t -> bool
 (** Paper eq. 1 on all four rings — the Testing Module's property. *)

@@ -230,8 +230,6 @@ let pick_errno t = Sim.Rng.pick t.rng transient_errnos
 let fault_of_string s =
   List.find_opt (fun f -> String.equal (fault_name f) s) all_faults
 
-let pp_fault ppf f = Format.pp_print_string ppf (fault_name f)
-
 (* {1 Plans: printable, parseable fault schedules} *)
 
 let install_plan t plan =

@@ -95,9 +95,6 @@ val arm_burst :
   fault ->
   unit
 
-val arm_persistent : t -> ?shard:int -> fault -> unit
-(** {!Persistent}: fire at every opportunity until {!disarm}. *)
-
 val disarm : t -> fault -> unit
 
 val armed : t -> fault -> bool
@@ -141,11 +138,9 @@ val pick_errno : t -> Abi.Errno.t
 val all_faults : fault list
 
 val fault_name : fault -> string
-(** Stable kebab-case name (the {!pp_fault} rendering). *)
+(** Stable kebab-case name. *)
 
 val fault_of_string : string -> fault option
-
-val pp_fault : Format.formatter -> fault -> unit
 
 (** {1 Plans}
 

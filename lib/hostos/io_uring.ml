@@ -24,16 +24,13 @@ type t = {
   (* Datapath shard of the thread this ring belongs to, for shard-pinned
      fault/malice armings.  None until the runtime tags it. *)
   mutable shard : int option;
-  (* IORING_REGISTER_BUFFERS / IORING_REGISTER_FILES state: validated at
+  (* IORING_REGISTER_BUFFERS state: validated at
      registration time, consulted per fixed SQE. *)
   mutable reg_bufs : Mem.Regtable.t option;
-  mutable reg_files : int array;
   (* Provided-buffer ring for multishot recv: ids the submitter has
      handed the kernel to fill.  Stands for the shared buf_ring pages —
      the FM re-provides without a syscall. *)
   buf_ring : int Queue.t;
-  mutable notifs_posted : int;
-  mutable notifs_withheld : int;
 }
 
 let next_id = ref 0
@@ -63,19 +60,9 @@ let register_buffers t entries =
 
 let reg_bufs t = t.reg_bufs
 
-let register_files t fds = t.reg_files <- Array.of_list fds
-
 let provide_buffer t id = Queue.push id t.buf_ring
 
 let take_buffer t = Queue.take_opt t.buf_ring
-
-let registered_file t idx =
-  if idx >= 0 && idx < Array.length t.reg_files then Some t.reg_files.(idx)
-  else None
-
-let notifs_posted t = t.notifs_posted
-
-let notifs_withheld t = t.notifs_withheld
 
 (* A fixed SQE must name a registered buffer that covers its whole
    [addr..addr+len) range; anything else is the unregistered-pointer
@@ -237,8 +224,7 @@ let zero_copy t (sqe : Abi.Uring_abi.sqe) ~res ~notif_delay =
   | Some m when Malice.roll ?shard:t.shard !(t.malice) Malice.Dropped_notif ->
       (* Withheld notif: the frame never comes back.  Costs the FM pool
          capacity (it degrades to the copy path), never correctness. *)
-      Malice.record m Malice.Dropped_notif;
-      t.notifs_withheld <- t.notifs_withheld + 1
+      Malice.record m Malice.Dropped_notif
   | malice ->
       let dup =
         match malice with
@@ -251,7 +237,6 @@ let zero_copy t (sqe : Abi.Uring_abi.sqe) ~res ~notif_delay =
         ~name:(Printf.sprintf "uring%d-notif" t.id)
         (fun () ->
           Sim.Engine.delay notif_delay;
-          t.notifs_posted <- t.notifs_posted + 1;
           post_cqe t notif;
           if dup then post_cqe t notif)
 
@@ -394,10 +379,7 @@ let create engine ~alloc ~entries ~exec ~malice ~faults =
       last_user_data = 0L;
       shard = None;
       reg_bufs = None;
-      reg_files = [||];
       buf_ring = Queue.create ();
-      notifs_posted = 0;
-      notifs_withheld = 0;
     }
   in
   Sim.Engine.spawn engine ~name:(Printf.sprintf "uring%d-worker" t.id) (worker t);

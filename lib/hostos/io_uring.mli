@@ -81,12 +81,6 @@ val register_buffers : t -> (int * int) list -> (unit, Mem.Regtable.error) resul
 
 val reg_bufs : t -> Mem.Regtable.t option
 
-val register_files : t -> int list -> unit
-(** Pin an fd table; fixed SQEs may then name files by index (the
-    kernel resolves via {!registered_file}). *)
-
-val registered_file : t -> int -> int option
-
 val provide_buffer : t -> int -> unit
 (** Hand registered buffer [id] to the kernel for multishot recv to
     fill.  Models a write to the shared provided-buffer ring: no
@@ -95,13 +89,6 @@ val provide_buffer : t -> int -> unit
 val take_buffer : t -> int option
 (** Kernel side: claim the next provided buffer ([None] = ring empty,
     the multishot stream must terminate with [ENOBUFS]). *)
-
-val notifs_posted : t -> int
-(** Honest zero-copy notif CQEs posted so far. *)
-
-val notifs_withheld : t -> int
-(** Notifs suppressed by a [Dropped_notif] malice roll — each one is a
-    registered frame the enclave will never get back. *)
 
 val cq_notify : t -> Sim.Condition.t
 (** Broadcast on every CQE post; simulation stand-in for the SyncProxy's

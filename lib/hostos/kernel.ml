@@ -564,10 +564,6 @@ let uring_register_buffers t uring entries =
   syscall t;
   Io_uring.register_buffers uring entries
 
-let uring_register_files t uring fds =
-  syscall t;
-  Io_uring.register_files uring fds
-
 let uring_enter t uring =
   syscall t;
   if wakeup_lands ?shard:(Io_uring.shard uring) t then Io_uring.enter uring

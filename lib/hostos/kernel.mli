@@ -133,6 +133,3 @@ val uring_register_buffers :
 (** [io_uring_register(IORING_REGISTER_BUFFERS)]: one syscall to pin the
     [(region_offset, len)] buffer set; fixed SQEs then name table
     indices with no further per-op syscall or kernel-side copy. *)
-
-val uring_register_files : t -> Io_uring.t -> int list -> unit
-(** [IORING_REGISTER_FILES]: pin an fd table for fixed-file SQEs. *)

@@ -39,10 +39,6 @@ let rx_packets t = Sim.Stats.get (stats t) t.rx_key
 
 let tx_packets t = Sim.Stats.get (stats t) t.tx_key
 
-let rx_pending t = Array.map Sim.Mailbox.length t.rx_queues
-
-let tx_pending t = Sim.Mailbox.length t.tx_queue
-
 let drops t = Sim.Stats.get (stats t) t.drops_key
 
 (* Hardware RSS: the symmetric Toeplitz flow hash pins each UDP flow to

@@ -2,7 +2,7 @@
 
     Two interfaces are wired back-to-back ("loopback configuration" in
     the paper's testbed).  Transmission is paced at the link rate
-    ({!Sgx.Params.nic_link_gbps}); each interface has a configurable
+    ({!Sgx.Params.wire_cycles_per_byte}); each interface has a configurable
     number of receive queues of bounded depth, with RSS-style steering
     by UDP source port.  A queue whose mailbox is full drops the frame
     (counted under ["nic.<id>.drops"]) — the memory-pressure drop
@@ -70,14 +70,6 @@ val udp_rx_per_queue : t -> int array
     that went silently idle. *)
 
 val tx_packets : t -> int
-
-val rx_pending : t -> int array
-(** Frames sitting in each receive-queue mailbox right now — the
-    host-side rx backlog ahead of the XDP program (snapshot copy).
-    Overload tests use it to show where a flood actually queues. *)
-
-val tx_pending : t -> int
-(** Frames awaiting wire serialization in the transmit queue. *)
 
 val drops : t -> int
 

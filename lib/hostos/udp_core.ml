@@ -56,8 +56,6 @@ let bind t sock ip port =
     Ok ()
   end
 
-let bound_port sock = Option.map snd sock.bound
-
 let charge_softirq () = Sim.Engine.delay Sgx.Params.kernel_udp_softirq_per_packet
 
 let charge_copy len =

@@ -113,14 +113,6 @@ let rx_delivered x = x.rx_delivered
 
 let rx_dropped x = x.rx_dropped
 
-let rx_drop_reasons x =
-  [
-    ("oversize", x.rx_drop_oversize);
-    ("krx_full", x.rx_drop_krx_full);
-    ("fill_empty", x.rx_drop_fill_empty);
-    ("bad_fill", x.rx_drop_bad_fill);
-  ]
-
 let tx_sent x = x.tx_sent
 
 let charge_per_packet () = Sim.Engine.delay Sgx.Params.xdp_redirect_per_packet

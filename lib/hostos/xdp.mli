@@ -87,12 +87,6 @@ val rx_delivered : xsk -> int
 
 val rx_dropped : xsk -> int
 
-val rx_drop_reasons : xsk -> (string * int) list
-(** Edge-drop cause breakdown (["oversize"], ["krx_full"],
-    ["fill_empty"], ["bad_fill"]); the values sum to {!rx_dropped}.
-    Says {e why} an XSK stopped accepting — fill starvation names the
-    enclave side, xRX backlog names a parked consumer. *)
-
 val tx_sent : xsk -> int
 
 val rx_notify : xsk -> Sim.Condition.t

@@ -93,8 +93,6 @@ let drop_reasons t =
   Hashtbl.fold (fun k c acc -> (k, Obs.Metrics.value c) :: acc) t.drops []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let socket_count t = Hashtbl.length t.sockets
-
 let lock_contention t =
   Sim.Lock.contended t.global_lock + Sim.Lock.contended t.table_lock
 

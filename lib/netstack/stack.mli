@@ -99,8 +99,6 @@ val input_borrowed : t -> Bytes.t -> len:int -> unit
 
 (** {1 Introspection} *)
 
-val socket_count : t -> int
-
 val rx_delivered : t -> int
 
 val rx_dropped : t -> int

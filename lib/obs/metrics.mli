@@ -66,11 +66,7 @@ val observe : histogram -> int -> unit
 
 val value : counter -> int
 
-val counter_name : counter -> string
-
 val get : gauge -> float
-
-val gauge_name : gauge -> string
 
 val count : histogram -> int
 (** Total observations recorded. *)
@@ -141,5 +137,3 @@ val with_prefix : t -> string -> (string * int) list
 
 val pp : Format.formatter -> t -> unit
 (** Aligned name/value table: counters, then gauges, then histograms. *)
-
-val pp_histogram : Format.formatter -> histogram -> unit

@@ -30,8 +30,6 @@ val header_size : int
 
 val proto_to_int : proto -> int
 
-val proto_of_int : int -> proto
-
 type fragment = { packet : t; frag_offset : int; more : bool }
 (** One fragment: [packet.payload] is this fragment's slice of the
     original datagram, starting [frag_offset] bytes in (always a

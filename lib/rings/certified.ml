@@ -276,13 +276,4 @@ let rebase t =
   t.tcons <- peer;
   republish t
 
-let pp_failure ppf = function
-  | Out_of_window { observed; trusted_prod; trusted_cons } ->
-      Format.fprintf ppf
-        "peer index %#x outside window (trusted prod=%#x cons=%#x)" observed
-        trusted_prod trusted_cons
-  | Regressed { observed; previous } ->
-      Format.fprintf ppf "peer index %#x regressed (previously %#x)" observed
-        previous
-
 let region t = t.layout.Layout.region

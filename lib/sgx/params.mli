@@ -176,9 +176,6 @@ val fault_monitor_hang : int64
     comfortably past {!watchdog_timeout} so a hang is indistinguishable
     from a crash. *)
 
-val nic_link_gbps : float
-(** 25.0 — the testbed's loopback-wired link capacity. *)
-
 val nic_queue_len : int
 (** 2,048 descriptors per NIC queue (paper §6.1 setup). *)
 
@@ -195,12 +192,9 @@ val umem_frame_size : int
 val udp_socket_buffer : int
 (** 16 MiB kernel UDP socket buffer (paper §6.1 setup). *)
 
-val app_cycles_per_request : int64
-(** Userspace work per request in the KV-store workloads (hashing,
-    parsing): ~1,500 cycles. *)
-
 val wire_cycles_per_byte : float
-(** Link serialization cost, from {!nic_link_gbps}. *)
+(** Link serialization cost of the testbed's 25 Gbps loopback-wired
+    link. *)
 
 val live_wire_cycles_per_byte : float ref
 (** The serialization cost NIC transmit engines charge right now.

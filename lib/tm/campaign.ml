@@ -91,24 +91,10 @@ type outcome = {
   tolerated : int;  (* payload mismatches while Corrupt_packet was live *)
   fired : (Hostos.Malice.attack * int) list;
   injected : (Hostos.Faults.fault * int) list;
-  ring_rejects : int;
-  desc_rejects : int;
   invariant_ok : bool;
   watchdog_restarts : int;
   degraded_scans : int;
-  breaker_opens : int;  (* summed over every shard's xsk breaker + uring/mm *)
-  breaker_failovers : int;
-  breaker_closes : int;
-  shard_opens : int list;  (* per-shard XSK breaker trips, shard order *)
-  slow_calls : int;  (* ops completed via the exit-based slow path *)
-  zc_sends : int;  (* SEND_ZC frames lent to the kernel *)
-  zc_fallbacks : int;  (* zc ops degraded to the copy path *)
-  zc_notif_rejects : int;  (* forged-early + stray/duplicate notifs refused *)
-  zc_leaks : int;  (* frames the host held hostage by withholding notifs *)
-  ov_admitted : int;  (* admissions across every overload controller *)
-  ov_shed : int;  (* accounted data-class sheds *)
-  ov_control_shed : int;  (* must stay 0: Control is never shed *)
-  ov_edge_drops : int;  (* NIC-edge drops while fill was throttled *)
+  totals : Rakis.Runtime.totals;
   violations : violation list;
   trace_tail : string list;
       (* rendered tail of the runtime's trace ring, captured only on
@@ -549,16 +535,8 @@ let run
            it would otherwise hide violations in the unexecuted tail. *)
         violate st ~step:st.steps_run
           (Printf.sprintf "stalled after %d/%d steps" st.steps_run budget);
-      let shards =
-        List.init (Rakis.Runtime.shard_count rt) (Rakis.Runtime.shard_breaker rt)
-      in
-      let sum f =
-        List.fold_left (fun acc b -> acc + f b) 0
-          (Rakis.Runtime.uring_breaker rt :: Rakis.Runtime.mm_breaker rt :: shards)
-      in
-      let when_overload total = if overload then total rt else 0 in
       let invariant_ok = Rakis.Runtime.invariant_holds rt in
-      let zc_leaks = Rakis.Runtime.total_zc_leaks rt in
+      let totals = Rakis.Runtime.totals rt in
       {
         params = p;
         steps_run = st.steps_run;
@@ -572,28 +550,14 @@ let run
           (match injector with
           | Some f -> Hostos.Faults.injected_counts f
           | None -> []);
-        ring_rejects = Rakis.Runtime.total_ring_check_failures rt;
-        desc_rejects = Rakis.Runtime.total_desc_rejects rt;
         invariant_ok;
         watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
         degraded_scans = Rakis.Runtime.watchdog_degraded_scans rt;
-        breaker_opens = sum Rakis.Health.opens;
-        breaker_failovers = sum Rakis.Health.failovers;
-        breaker_closes = sum Rakis.Health.closes;
-        shard_opens = List.map Rakis.Health.opens shards;
-        slow_calls = Obs.Metrics.get_counter (Obs.metrics obs) "health.slow_calls";
-        zc_sends = Rakis.Runtime.total_zc_sends rt;
-        zc_fallbacks = Rakis.Runtime.total_zc_fallbacks rt;
-        zc_notif_rejects = Rakis.Runtime.total_zc_notif_rejects rt;
-        zc_leaks;
-        ov_admitted = when_overload Rakis.Runtime.total_overload_admitted;
-        ov_shed = when_overload Rakis.Runtime.total_overload_shed;
-        ov_control_shed = when_overload Rakis.Runtime.total_control_shed;
-        ov_edge_drops = when_overload Rakis.Runtime.total_edge_drops;
+        totals;
         violations = List.rev st.violations;
         trace_tail =
           (* captured only on failure: the events leading up to it *)
-          (if st.violations = [] && invariant_ok && zc_leaks = 0 then []
+          (if st.violations = [] && invariant_ok && totals.zc_leaks = 0 then []
            else
              List.map
                (Format.asprintf "%a" Obs.Trace.pp_event)
@@ -604,13 +568,13 @@ let run
    landing: the host holds lent frames hostage forever.  The FM already
    degraded safely (copy-path fallback), but a campaign exists to make
    that loss visible, so it fails the run. *)
-(* [ov_control_shed > 0] joins the failure conditions: shedding
+(* [control_shed > 0] joins the failure conditions: shedding
    control-class traffic (breaker probes, Monitor housekeeping) would
    wedge the recovery machinery, so the controller guarantees it never
    happens — a non-zero count is a broken guarantee, not load. *)
 let failed (o : outcome) =
-  o.violations <> [] || not o.invariant_ok || o.zc_leaks > 0
-  || o.ov_control_shed > 0
+  o.violations <> [] || not o.invariant_ok || o.totals.zc_leaks > 0
+  || o.totals.control_shed > 0
 
 (* {1 Schedule generation} *)
 
@@ -895,7 +859,7 @@ let shrink_failure (o : outcome) =
 let pp_schedule ppf s = Format.pp_print_string ppf (schedule_to_string s)
 
 let pp_outcome ppf (o : outcome) =
-  let p = o.params in
+  let p = o.params and tot = o.totals in
   Format.fprintf ppf
     "@[<v>campaign %s seed=%Ld budget=%d schedule=[%a]@,\
      steps=%d ok=%d late_ok=%d refused=%d lost=%d tolerated=%d@,\
@@ -903,8 +867,10 @@ let pp_outcome ppf (o : outcome) =
      fired: %s@,\
      %s"
     (datapath_name p.datapath) p.seed p.budget pp_schedule p.schedule
-    o.steps_run o.ok o.late_ok o.refused o.lost o.tolerated o.ring_rejects
-    o.desc_rejects o.invariant_ok
+    o.steps_run o.ok o.late_ok o.refused o.lost o.tolerated
+    tot.ring_check_failures
+    (tot.umem_rejects + tot.cqe_rejects)
+    o.invariant_ok
     (if o.fired = [] then "(none)"
      else
        String.concat ", "
@@ -929,26 +895,26 @@ let pp_outcome ppf (o : outcome) =
                 Printf.sprintf "%s x%d" (Hostos.Faults.fault_name f) n)
               o.injected));
   if
-    o.breaker_opens > 0 || o.slow_calls > 0 || o.watchdog_restarts > 0
+    tot.breaker_opens > 0 || tot.slow_calls > 0 || o.watchdog_restarts > 0
     || o.degraded_scans > 0
   then
     Format.fprintf ppf
       "@,\
        health: opens=%d failovers=%d closes=%d slow_calls=%d \
        watchdog_restarts=%d degraded_scans=%d"
-      o.breaker_opens o.breaker_failovers o.breaker_closes o.slow_calls
+      tot.breaker_opens tot.breaker_failovers tot.breaker_closes tot.slow_calls
       o.watchdog_restarts o.degraded_scans;
   if p.queues > 1 then
     Format.fprintf ppf "@,queues=%d shard xsk opens: [%s]" p.queues
-      (String.concat "; " (List.map string_of_int o.shard_opens));
+      (String.concat "; " (List.map string_of_int tot.shard_opens));
   if p.zerocopy then
     Format.fprintf ppf
       "@,zerocopy: sends=%d fallbacks=%d notif_rejects=%d leaks=%d"
-      o.zc_sends o.zc_fallbacks o.zc_notif_rejects o.zc_leaks;
+      tot.zc_sends tot.zc_fallbacks tot.zc_notif_rejects tot.zc_leaks;
   if p.overload then
     Format.fprintf ppf
       "@,overload: admitted=%d shed=%d control_shed=%d edge_drops=%d"
-      o.ov_admitted o.ov_shed o.ov_control_shed o.ov_edge_drops;
+      tot.overload_admitted tot.overload_shed tot.control_shed tot.edge_drops;
   if p.wire then
     Format.fprintf ppf
       "@,wire: canonical lossy plan (5%% drop/reorder/dup, 1%% trunc)";
@@ -982,9 +948,6 @@ type soak_outcome = {
   sk_completed : int;
   sk_lost : int;  (* steps with no reply by the end of the run *)
   sk_late : int;  (* replies that arrived unmatchable (drained, not lost) *)
-  sk_shed : int;  (* overload data-class sheds, every controller *)
-  sk_control_shed : int;  (* must be 0 *)
-  sk_edge_drops : int;  (* NIC-edge drops while fill was throttled *)
   sk_accounted : int;  (* Apps.Harness.accounted *)
   sk_unaccounted : int;  (* Apps.Harness.unaccounted: must be 0 *)
   sk_latency : Obs.Metrics.summary;
@@ -994,8 +957,8 @@ type soak_outcome = {
   sk_recovery_kops : float;
   sk_recovered : bool;
   sk_recovery_window : int option;
-  sk_breaker_opens : int;
   sk_watchdog_restarts : int;
+  sk_totals : Rakis.Runtime.totals;
   sk_stalled : bool;
 }
 
@@ -1317,9 +1280,6 @@ let soak
         sk_completed = !completed;
         sk_lost = lost;
         sk_late = !late;
-        sk_shed = Rakis.Runtime.total_overload_shed rt;
-        sk_control_shed = Rakis.Runtime.total_control_shed rt;
-        sk_edge_drops = Rakis.Runtime.total_edge_drops rt;
         sk_accounted = accounted;
         sk_unaccounted = unaccounted;
         sk_latency = latency;
@@ -1329,22 +1289,19 @@ let soak
         sk_recovery_kops = recovery_kops;
         sk_recovered = recovery_window <> None;
         sk_recovery_window = recovery_window;
-        sk_breaker_opens =
-          List.fold_left
-            (fun acc k -> acc + Rakis.Health.opens (Rakis.Runtime.shard_breaker rt k))
-            0
-            (List.init (Rakis.Runtime.shard_count rt) Fun.id);
         sk_watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
+        sk_totals = Rakis.Runtime.totals rt;
         sk_stalled = !steps_run < steps;
       }
 
 (* The soak's SLO gates, in one verdict (mirrored by [tm_verify --soak]
    and the CI smoke). *)
 let soak_failed (o : soak_outcome) =
-  o.sk_stalled || o.sk_unaccounted > 0 || o.sk_control_shed > 0
+  o.sk_stalled || o.sk_unaccounted > 0 || o.sk_totals.control_shed > 0
   || (not o.sk_slo_ok) || not o.sk_recovered
 
 let pp_soak_outcome ppf (o : soak_outcome) =
+  let tot = o.sk_totals in
   Format.fprintf ppf
     "@[<v>soak %s steps=%d queues=%d%s@,\
      offered=%d completed=%d lost=%d late=%d shed=%d control_shed=%d@,\
@@ -1354,12 +1311,13 @@ let pp_soak_outcome ppf (o : soak_outcome) =
      breaker_opens=%d watchdog_restarts=%d@]"
     (repro (Soak o.sk_params)) o.sk_params.sk_steps o.sk_params.sk_queues
     (if o.sk_stalled then " STALLED" else "")
-    o.sk_offered o.sk_completed o.sk_lost o.sk_late o.sk_shed o.sk_control_shed
-    o.sk_accounted o.sk_unaccounted o.sk_edge_drops Obs.Metrics.pp_summary
+    o.sk_offered o.sk_completed o.sk_lost o.sk_late tot.overload_shed
+    tot.control_shed o.sk_accounted o.sk_unaccounted tot.edge_drops
+    Obs.Metrics.pp_summary
     o.sk_latency o.sk_params.sk_slo_p99
     (if o.sk_slo_ok then "ok" else "VIOLATED")
     o.sk_baseline_kops o.sk_crowd_kops o.sk_recovery_kops o.sk_recovered
     (match o.sk_recovery_window with
     | Some w -> Printf.sprintf " (window %d)" w
     | None -> "")
-    o.sk_breaker_opens o.sk_watchdog_restarts
+    tot.breaker_opens o.sk_watchdog_restarts

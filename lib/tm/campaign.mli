@@ -73,39 +73,13 @@ type outcome = {
   fired : (Hostos.Malice.attack * int) list;
   injected : (Hostos.Faults.fault * int) list;
       (** faults actually injected, with counts *)
-  ring_rejects : int;  (** certified index-check rejections *)
-  desc_rejects : int;  (** descriptor/UMem + CQE rejections *)
   invariant_ok : bool;
   watchdog_restarts : int;  (** Monitor restarts by the watchdog *)
   degraded_scans : int;  (** in-enclave scans run in the MM's stead *)
-  breaker_opens : int;
-      (** circuit-breaker trips, summed over every shard's XSK breaker
-          plus the uring/mm breakers (DESIGN.md §9, §10) *)
-  breaker_failovers : int;  (** ops rerouted to the exit-based slow path *)
-  breaker_closes : int;  (** recoveries: half-open probes that failed back *)
-  shard_opens : int list;
-      (** per-shard XSK breaker trips in shard order ([params.queues]
-          entries):
-          the containment witness — a fault pinned to shard [k] must
-          leave every other entry 0 *)
-  slow_calls : int;  (** host syscalls the slow path actually performed *)
-  zc_sends : int;  (** SEND_ZC frames lent to the kernel *)
-  zc_fallbacks : int;
-      (** zero-copy ops that degraded to the copy path (dry pool or
-          bounced submission) *)
-  zc_notif_rejects : int;
-      (** forged-early plus stray/duplicate notifs refused *)
-  zc_leaks : int;
-      (** lent frames whose notif the host withheld — non-zero fails
-          the campaign (see {!failed}) *)
-  ov_admitted : int;  (** admissions summed over every controller *)
-  ov_shed : int;  (** accounted data-class sheds *)
-  ov_control_shed : int;
-      (** control-class (breaker probe) sheds — the controller
-          guarantees 0; non-zero fails the campaign (see {!failed}) *)
-  ov_edge_drops : int;
-      (** host-NIC drops while the fill ring was throttled: the flood
-          dying at the edge instead of inside the enclave *)
+  totals : Rakis.Runtime.totals;
+      (** the machine's end-of-run totals: certified-ring and
+          descriptor rejections, breaker activity ([shard_opens] is the
+          containment witness), zero-copy and overload counters *)
   violations : violation list;
   trace_tail : string list;
       (** rendered tail (up to 24 events, oldest first) of the
@@ -120,7 +94,7 @@ val run : params -> outcome
     [queues] boots the machine with that many datapath shards
     ({!Rakis.Config.num_queues}); fault-plan entries and attacks may
     then pin themselves to one shard ([#<k>] suffix in the plan syntax)
-    and [shard_opens] witnesses containment.  A non-empty [faults] plan
+    and [totals.shard_opens] witnesses containment.  A non-empty [faults] plan
     additionally arms a {!Hostos.Faults} injector (seeded from [seed],
     so replays are bit-for-bit) and the enclave watchdog
     ({!Rakis.Runtime.start_watchdog}): attacks and host faults compose
@@ -142,9 +116,9 @@ val wire_plan : Hostos.Faults.plan
     {!soak_params} and the [--wire] CLI flags install. *)
 
 val failed : outcome -> bool
-(** Violations, a broken system invariant, [zc_leaks > 0] (the
+(** Violations, a broken system invariant, [totals.zc_leaks > 0] (the
     dropped-notif attack's footprint at quiescence), or
-    [ov_control_shed > 0] (the never-shed-control guarantee broke). *)
+    [totals.control_shed > 0] (the never-shed-control guarantee broke). *)
 
 val read_back :
   (Bytes.t * int) list -> off:int -> Bytes.t -> int -> (Bytes.t * int, string) result
@@ -212,8 +186,6 @@ val shrink_failure : outcome -> shrunk
     an element pass that drops shard pins ([#k]) the failure does not
     need.  Every other coordinate of [o.params] is kept. *)
 
-val pp_schedule : Format.formatter -> schedule -> unit
-
 val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {1 Chaos soak (DESIGN.md §15)} *)
@@ -242,9 +214,6 @@ type soak_outcome = {
       (** replies that arrived unmatchable (corrupt tag, duplicate) —
           they reached the client, so they offset [sk_lost] in the
           accounting identity *)
-  sk_shed : int;  (** overload data-class sheds, summed over controllers *)
-  sk_control_shed : int;  (** must be 0: control is never shed *)
-  sk_edge_drops : int;  (** NIC-edge drops while fill was throttled *)
   sk_accounted : int;
       (** every accounted loss, each counted once
           ({!Apps.Harness.accounted}) *)
@@ -261,15 +230,17 @@ type soak_outcome = {
   sk_recovered : bool;
       (** some post-crowd 100 µs window reached >= 95% of baseline *)
   sk_recovery_window : int option;
-  sk_breaker_opens : int;
   sk_watchdog_restarts : int;
+  sk_totals : Rakis.Runtime.totals;
+      (** end-of-run totals: overload sheds (control sheds must be 0),
+          NIC-edge drops, breaker trips *)
   sk_stalled : bool;  (** the driver did not finish inside the horizon *)
 }
 
 val soak : soak_params -> soak_outcome
 (** Run the chaos soak: the XSK UDP echo workload on a multi-queue
     machine booted with {!Rakis.Config.overload}, [steps] datagrams
-    across {!soak_flows} flows — closed-loop for the first 40%, an
+    across 8 flows — closed-loop for the first 40%, an
     open-loop flash-crowd blast for the middle 20%, closed-loop recovery
     for the rest — composed with a rolling shard-pinned
     {!Hostos.Faults.Drop_wakeup} plan and a seeded malice soup.  [wire]
@@ -280,8 +251,6 @@ val soak : soak_params -> soak_outcome
 val soak_failed : soak_outcome -> bool
 (** The soak's gates: a stall, an unaccounted datagram, a shed control
     op, a p99 SLO breach, or goodput that never recovered. *)
-
-val soak_flows : int
 
 val pp_soak_outcome : Format.formatter -> soak_outcome -> unit
 

@@ -34,6 +34,21 @@ let with_harness kind ?rakis_config ?nic_queues f =
   assert_no_leaks h;
   r
 
+(* On an honest host a RAKIS run never leaves the fast path
+   ({!Apps.Harness.fast_path_verdict}); other environments have none. *)
+let assert_fast_path h =
+  match
+    (Libos.Env.runtime h.Apps.Harness.env, Apps.Harness.fast_path_verdict h)
+  with
+  | None, _ | Some _, Apps.Harness.Held -> ()
+  | Some _, v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v
+
+let with_fast_path kind f =
+  with_harness kind (fun h ->
+      let r = f h in
+      assert_fast_path h;
+      r)
+
 (* {1 helloworld} *)
 
 let test_helloworld_output_everywhere () =
@@ -63,7 +78,7 @@ let test_iperf_delivers_native () =
 
 let test_iperf_rakis_beats_gramine_sgx () =
   let run kind =
-    with_harness kind (fun h -> Apps.Iperf.run h ~packet_size:1460 ~packets:3000)
+    with_fast_path kind (fun h -> Apps.Iperf.run h ~packet_size:1460 ~packets:3000)
   in
   let rakis = run Libos.Env.Rakis_sgx in
   let gramine = run Libos.Env.Gramine_sgx in
@@ -79,6 +94,7 @@ let test_iperf_figure2_exit_counts () =
        packet exit count is exact. *)
     let r = Apps.Iperf.run ~streams:1 h ~packet_size:512 ~packets:500 in
     assert_no_leaks h;
+    assert_fast_path h;
     (r, Libos.Env.exits h.env)
   in
   let gr, gramine = run Libos.Env.Gramine_sgx in
@@ -93,7 +109,7 @@ let test_memcached_completes_everywhere () =
   List.iter
     (fun kind ->
       let r =
-        with_harness kind (fun h ->
+        with_fast_path kind (fun h ->
             Apps.Memcached.run h ~server_threads:2 ~ops:300)
       in
       check_bool
@@ -113,7 +129,7 @@ let test_memcached_scales_with_threads () =
 
 let test_memcached_rakis_vs_gramine () =
   let run kind =
-    (with_harness kind (fun h -> Apps.Memcached.run h ~server_threads:2 ~ops:1500))
+    (with_fast_path kind (fun h -> Apps.Memcached.run h ~server_threads:2 ~ops:1500))
       .Apps.Memcached.kops_per_sec
   in
   let rakis = run Libos.Env.Rakis_sgx in
@@ -125,7 +141,7 @@ let test_memcached_rakis_vs_gramine () =
 let test_curl_transfers_whole_file () =
   let size = 1024 * 1024 in
   let r =
-    with_harness Libos.Env.Rakis_sgx (fun h -> Apps.Curl.run h ~file_size:size)
+    with_fast_path Libos.Env.Rakis_sgx (fun h -> Apps.Curl.run h ~file_size:size)
   in
   let chunks = (size + Apps.Curl.chunk_payload - 1) / Apps.Curl.chunk_payload in
   check_bool "all chunks arrived" true
@@ -135,7 +151,7 @@ let test_curl_transfers_whole_file () =
 let test_curl_gramine_sgx_slower () =
   let size = 2 * 1024 * 1024 in
   let run kind =
-    (with_harness kind (fun h -> Apps.Curl.run h ~file_size:size))
+    (with_fast_path kind (fun h -> Apps.Curl.run h ~file_size:size))
       .Apps.Curl.seconds
   in
   let native = run Libos.Env.Native in

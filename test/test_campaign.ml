@@ -117,7 +117,8 @@ let detected (o : C.outcome) dp attack =
   check_bool
     (label dp attack ^ ": detected")
     true
-    (o.C.ring_rejects + o.C.desc_rejects > 0)
+    (let t = o.C.totals in
+     t.ring_check_failures + t.umem_rejects + t.cqe_rejects > 0)
 
 let index_attacks =
   M.[ Prod_overshoot; Prod_regress; Cons_overshoot; Cons_regress ]
@@ -199,12 +200,12 @@ let test_singles_iouring_zerocopy () =
         (fired_of o attack >= 1);
       check_bool (label C.Iouring attack ^ ": verified ops") true (o.C.ok > 0);
       check_bool (label C.Iouring attack ^ ": sends were zero-copy") true
-        (o.C.zc_sends > 0);
+        (o.C.totals.zc_sends > 0);
       check_bool
         (label C.Iouring attack ^ ": forged notif refused")
         true
-        (o.C.zc_notif_rejects > 0);
-      check (label C.Iouring attack ^ ": no leaks") 0 o.C.zc_leaks)
+        (o.C.totals.zc_notif_rejects > 0);
+      check (label C.Iouring attack ^ ": no leaks") 0 o.C.totals.zc_leaks)
     M.[ Forged_early_notif; Double_notif ]
 
 let test_zerocopy_honest_run () =
@@ -216,9 +217,9 @@ let test_zerocopy_honest_run () =
   in
   check_bool "clean" false (C.failed o);
   check_bool "verified ops" true (o.C.ok > 0);
-  check_bool "sends were zero-copy" true (o.C.zc_sends > 0);
-  check "honest host forges nothing" 0 o.C.zc_notif_rejects;
-  check "honest host returns every frame" 0 o.C.zc_leaks
+  check_bool "sends were zero-copy" true (o.C.totals.zc_sends > 0);
+  check "honest host forges nothing" 0 o.C.totals.zc_notif_rejects;
+  check "honest host returns every frame" 0 o.C.totals.zc_leaks
 
 let test_dropped_notif_fails_campaign () =
   let o =
@@ -233,7 +234,7 @@ let test_dropped_notif_fails_campaign () =
       }
   in
   check_bool "dropped-notif fired" true (fired_of o M.Dropped_notif >= 1);
-  check_bool "leak recorded" true (o.C.zc_leaks > 0);
+  check_bool "leak recorded" true (o.C.totals.zc_leaks > 0);
   check_bool "campaign failed" true (C.failed o);
   (* Refusing to free the frame is the *correct* response: the loss is
      availability (pool capacity), never integrity. *)

@@ -350,7 +350,7 @@ let test_zc_dropped_notif_failure () =
       }
   in
   Alcotest.(check bool) "dropped notif fails the campaign" true (C.failed o);
-  Alcotest.(check bool) "leak footprint, not integrity" true (o.C.zc_leaks > 0);
+  Alcotest.(check bool) "leak footprint, not integrity" true (o.C.totals.zc_leaks > 0);
   let s = C.shrink_failure o in
   let minimal = C.run s.C.shrunk in
   let token = C.repro (C.Run s.C.shrunk) in

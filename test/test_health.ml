@@ -422,8 +422,8 @@ let test_campaign_failover_repro_roundtrip () =
           { Tm.Campaign.default with datapath = dp; seed = 81L; budget = 120; faults = plan }
       in
       check_bool "no violations" false (Tm.Campaign.failed o);
-      check_bool "breaker opened" true (o.Tm.Campaign.breaker_opens >= 1);
-      check_bool "slow path served traffic" true (o.Tm.Campaign.slow_calls > 0);
+      check_bool "breaker opened" true (o.Tm.Campaign.totals.breaker_opens >= 1);
+      check_bool "slow path served traffic" true (o.Tm.Campaign.totals.slow_calls > 0);
       match
         Tm.Campaign.parse_repro (Tm.Campaign.repro (Tm.Campaign.Run o.Tm.Campaign.params))
       with

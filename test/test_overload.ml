@@ -195,7 +195,7 @@ let test_losses_counted_once () =
     (rx_gate <= shed_data);
   check "rx-gate sheds counted once"
     (Rakis.Runtime.total_accounted_drops rt - rx_gate + shed_data)
-    (Rakis.Runtime.accounted_losses rt);
+    (Rakis.Runtime.totals rt).accounted_losses;
   let missing =
     s.Apps.Loadgen.lost - s.Apps.Loadgen.late - s.Apps.Loadgen.rdp_gave_up
   in
@@ -217,6 +217,107 @@ let test_losses_counted_once () =
   check "soak residue is the owner's"
     (max 0 (o.C.sk_lost - o.C.sk_late - o.C.sk_accounted))
     o.C.sk_unaccounted
+
+(* {1 The end-of-run rollup}
+
+   [Runtime.totals] against the Obs registry on a 2-queue machine with
+   zero-copy and overload control on: a flash crowd sheds on every
+   shard's controller, a SEND_ZC stream lends frames on a uring, and a
+   malice mix makes both shards refuse descriptors and indices and the
+   urings refuse CQEs.  Every total with a registry counter must equal
+   that counter summed over every instance, so a rollup that skipped a
+   shard, a thread or a controller comes up short. *)
+
+let test_totals_agree_with_registry () =
+  let h =
+    match
+      Apps.Harness.make Libos.Env.Rakis_sgx
+        ~rakis_config:
+          {
+            Rakis.Config.default with
+            num_queues = 2;
+            num_xsks = 2;
+            zerocopy = true;
+            overload = true;
+          }
+        ~nic_queues:4 ()
+    with
+    | Ok h -> h
+    | Error e -> Alcotest.fail e
+  in
+  let rt = runtime h in
+  let m = Hostos.Malice.create ~seed:5L () in
+  List.iter
+    (fun a -> Hostos.Malice.arm m ~probability:0.002 a)
+    Hostos.Malice.[ Bad_umem_offset; Prod_overshoot; Cqe_bogus_res ];
+  Hostos.Kernel.set_malice h.kernel (Some m);
+  ignore
+    (Apps.Loadgen.run
+       ~config:
+         {
+           Apps.Loadgen.default with
+           connections = 640;
+           ops = 2000;
+           timeout = 12_000_000L;
+         }
+       h ~server_threads:4);
+  ignore (Apps.Iperf_tcp.run h ~bytes:(256 * 1024));
+  (* A fresh thread (its own uring FM) writing a file under CQE forgery. *)
+  Hostos.Malice.arm m ~probability:0.2 Hostos.Malice.Cqe_bogus_res;
+  (Apps.Harness.api h).Libos.Api.spawn ~name:"writer" (fun api ->
+      (match api.Libos.Api.openf ~create:true ~trunc:true "/tmp/totals" with
+      | Ok fd ->
+          let block = Bytes.make 512 'w' in
+          for _ = 1 to 64 do
+            ignore (api.Libos.Api.write fd block 0 512)
+          done
+      | Error _ -> ());
+      Apps.Harness.stop h);
+  Apps.Harness.run h ~until:(Sim.Cycles.of_sec 60.);
+  let counters = Obs.Metrics.counters (Obs.metrics (Rakis.Runtime.obs rt)) in
+  let sum keep =
+    List.fold_left (fun acc (n, v) -> if keep n then acc + v else acc) 0 counters
+  in
+  let has prefix suffix n =
+    String.starts_with ~prefix n && String.ends_with ~suffix n
+  in
+  (* Every instance the rollup must visit contributes: both shards, the
+     oldest thread (uring0, the SEND_ZC sender) and the newest (uring4,
+     the writer), and all three controllers. *)
+  List.iter
+    (fun (who, keep) -> check_bool (who ^ " contributes") true (sum keep > 0))
+    [
+      ("shard 0", has "xsk.0." ".umem.rejects");
+      ("shard 1", has "xsk.1." ".umem.rejects");
+      ("the oldest thread", has "uring0." ".zc_sends");
+      ("the newest thread", has "uring4." ".cqe_rejects");
+      ("shard 0's controller", has "overload.0." ".admitted.data");
+      ("shard 1's controller", has "overload.1." ".admitted.data");
+      ("the uring controller", has "overload.uring." ".admitted.data");
+    ];
+  let t = Rakis.Runtime.totals rt in
+  List.iter
+    (fun (what, registry, total) -> check what registry total)
+    [
+      ("ring-check failures", sum (has "" ".failures"), t.ring_check_failures);
+      ("UMem rejects", sum (has "" ".umem.rejects"), t.umem_rejects);
+      ("CQE rejects", sum (has "uring" ".cqe_rejects"), t.cqe_rejects);
+      ("zc sends", sum (has "uring" ".zc_sends"), t.zc_sends);
+      ("zc fallbacks", sum (has "uring" ".zc_fallbacks"), t.zc_fallbacks);
+      ("zc notifs", sum (has "uring" ".zc_notifs"), t.zc_notifs);
+      ( "zc notif rejects",
+        sum (has "uring" ".zc_notif_early") + sum (has "uring" ".zc_notif_stray"),
+        t.zc_notif_rejects );
+      ("overload sheds", sum (has "overload." ".shed.data"), t.overload_shed);
+      ( "overload admissions",
+        sum (has "overload." ".admitted.data")
+        + sum (has "overload." ".admitted.control"),
+        t.overload_admitted );
+      ("fill throttles", sum (has "xsk" ".fill_throttled"), t.fill_throttles);
+      ("breaker opens", sum (has "health." ".opens"), t.breaker_opens);
+      ("breaker failovers", sum (has "health." ".failovers"), t.breaker_failovers);
+      ("breaker closes", sum (has "health." ".closes"), t.breaker_closes);
+    ]
 
 (* {1 Accounting identity under random chaos (QCheck)}
 
@@ -242,7 +343,7 @@ let soak_accounting =
       in
       (not o.C.sk_stalled)
       && o.C.sk_unaccounted = 0
-      && o.C.sk_control_shed = 0)
+      && o.C.sk_totals.control_shed = 0)
 
 let suite =
   [
@@ -259,4 +360,6 @@ let suite =
     Alcotest.test_case "overload: each loss counted once, one residue" `Quick
       test_losses_counted_once;
     QCheck_alcotest.to_alcotest ~long:false soak_accounting;
+    Alcotest.test_case "totals: the rollup agrees with the registry" `Quick
+      test_totals_agree_with_registry;
   ]

@@ -440,7 +440,8 @@ let test_attack_umem_descriptors () =
   ignore (drive_under_attack fx ~packets:200);
   check_bool "attacks fired" true (Hostos.Malice.fired m > 0);
   check_bool "descriptors rejected" true
-    (Rakis.Runtime.total_desc_rejects fx.runtime > 0);
+    (let t = Rakis.Runtime.totals fx.runtime in
+     t.umem_rejects + t.cqe_rejects > 0);
   check_bool "invariants survived" true
     (Rakis.Runtime.invariant_holds fx.runtime)
 

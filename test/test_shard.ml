@@ -75,6 +75,11 @@ let boot_sharded ~queues () =
 
 let runtime h = Option.get (Libos.Env.runtime h.Apps.Harness.env)
 
+let assert_fast_path h =
+  match Apps.Harness.fast_path_verdict h with
+  | Apps.Harness.Held -> ()
+  | v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v
+
 let install_faults h plan =
   let rt = runtime h in
   let f = Hostos.Faults.create ~obs:(Rakis.Runtime.obs rt) ~seed:11L () in
@@ -120,7 +125,8 @@ let test_multi_shard_traffic_spread () =
     sum := !sum + Rakis.Runtime.shard_rx_delivered rt k
   done;
   check "runtime per-shard counters agree with the report" 800 !sum;
-  check_bool "invariants hold" true (Rakis.Runtime.invariant_holds rt)
+  check_bool "invariants hold" true (Rakis.Runtime.invariant_holds rt);
+  assert_fast_path h
 
 (* Per-shard Obs naming: sharded boots register <name>.<k> counters so
    dashboards can tell the shards apart, while the Runtime accessors
@@ -264,8 +270,10 @@ let test_campaign_shard_containment () =
   in
   check_bool "no violations" false (Tm.Campaign.failed o);
   check "queues recorded" 2 o.Tm.Campaign.params.queues;
-  check "one opens entry per shard" 2 (List.length o.Tm.Campaign.shard_opens);
-  check "untargeted shard never opened" 0 (List.nth o.Tm.Campaign.shard_opens 0)
+  check "one opens entry per shard" 2
+    (List.length o.Tm.Campaign.totals.shard_opens);
+  check "untargeted shard never opened" 0
+    (List.nth o.Tm.Campaign.totals.shard_opens 0)
 
 let test_campaign_repro_roundtrip_with_queues () =
   let p =
@@ -435,13 +443,26 @@ let test_two_queues_stay_on_fast_path () =
   let h, s = loadgen_run ~queues:2 in
   check "every op completed" 3000 s.Apps.Loadgen.completed;
   check "no silent loss" 0 s.Apps.Loadgen.unaccounted;
-  (match Apps.Harness.fast_path_verdict h with
-  | Apps.Harness.Held -> ()
-  | v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v);
+  assert_fast_path h;
   let h1, _ = loadgen_run ~queues:1 in
   check "exits equal the single-queue boot floor"
     (Libos.Env.exits h1.Apps.Harness.env)
     (Libos.Env.exits h.Apps.Harness.env)
+
+(* The UDP workloads hold the fast path on one queue and on four: the
+   enclave exits stop at the boot floor, whatever the queue count. *)
+let test_udp_workloads_stay_on_fast_path () =
+  List.iter
+    (fun queues ->
+      let h = boot_sharded ~queues () in
+      let r = Apps.Udp_echo.run ~flows:8 h ~datagrams:400 ~payload_size:256 in
+      check (Printf.sprintf "udp_echo at %d queues: all echoed" queues) 400
+        r.Apps.Udp_echo.echoed;
+      assert_fast_path h;
+      let h = boot_sharded ~queues () in
+      ignore (Apps.Iperf.run ~streams:8 h ~packet_size:1460 ~packets:2000);
+      assert_fast_path h)
+    [ 1; 4 ]
 
 let suite =
   [
@@ -467,4 +488,6 @@ let suite =
       `Quick test_recvfrom_oldest_head_first;
     Alcotest.test_case "e2e: 2-queue loadgen stays on the fast path" `Quick
       test_two_queues_stay_on_fast_path;
+    Alcotest.test_case "e2e: udp_echo and iperf stay on the fast path, 1 and 4 queues"
+      `Quick test_udp_workloads_stay_on_fast_path;
   ]
