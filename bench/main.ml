@@ -434,6 +434,7 @@ let run_sweep () =
           Apps.Iperf.run ~streams:sweep_streams ~src_ports h ~packet_size:1460
             ~packets:48_000
         in
+        require_fast_path (Printf.sprintf "sweep iperf q%d" queues) h;
         (* The closed-loop echo is capped by the single native client
            (~1.3M rt/s regardless of shards).  At a constant round-trip
            rate, Little's law pins the mean RTT of its 64 flows, so
@@ -443,6 +444,7 @@ let run_sweep () =
         let echo =
           Apps.Udp_echo.run ~flows:64 h ~datagrams:16_000 ~payload_size:512
         in
+        require_fast_path (Printf.sprintf "sweep udp_echo q%d" queues) h;
         Format.printf
           "queues=%d  iperf %.2f Gbps (loss %.1f%%)  udp_echo %.0f rt/s p50<=%d@."
           queues ip.Apps.Iperf.goodput_gbps

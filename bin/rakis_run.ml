@@ -119,6 +119,18 @@ let sharded_harness cfg env =
     ~nic_queues:(max 4 cfg.Rakis.Config.num_queues)
     env
 
+(* The paper's headline claim (Apps.Harness.fast_path_verdict): print
+   a RAKIS run's verdict and exit 1 when an honest run broke it. *)
+let require_fast_path h =
+  let verdict = Apps.Harness.fast_path_verdict h in
+  if verdict <> Apps.Harness.Not_applicable then
+    Format.printf "fast path: %a@." Apps.Harness.pp_fast_path verdict;
+  match verdict with
+  | Apps.Harness.Broken _ ->
+      Format.eprintf "FAIL: an honest run left the fast path@.";
+      exit 1
+  | Apps.Harness.Held | Apps.Harness.Not_applicable -> ()
+
 (* Install the fault plan on a booted harness: injector + watchdog + a
    step clock ticking every 10 simulated µs (the At_step/Burst domain —
    workloads here have no campaign step counter).  The tick process is
@@ -276,9 +288,20 @@ let iperf_cmd =
     let r = Apps.Iperf.run ~streams h ~packet_size:size ~packets in
     Format.printf "%a@." Apps.Iperf.pp_result r;
     report_faults h injector;
-    report ~metrics ?trace_file h
+    report ~metrics ?trace_file h;
+    require_fast_path h;
+    if r.Apps.Iperf.ended_at_horizon then begin
+      Format.eprintf "FAIL: no FIN reached the server; the run ended at the \
+                      simulated-time horizon@.";
+      exit 1
+    end
   in
-  Cmd.v (Cmd.info "iperf" ~doc:"iperf3-style UDP throughput (Figure 4a)")
+  Cmd.v
+    (Cmd.info "iperf"
+       ~doc:
+         "iperf3-style UDP throughput (Figure 4a); exits 1 when the run \
+          ends at the simulated-time horizon instead of by FIN, or when \
+          an honest RAKIS run leaves the fast path")
     Term.(
       const run $ env_arg $ config_term $ packets $ size $ streams
       $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
@@ -438,6 +461,7 @@ let udp_echo_cmd =
     Format.printf "%a@." Apps.Udp_echo.pp_result r;
     report_faults h injector;
     report ~metrics ?trace_file h;
+    require_fast_path h;
     if r.Apps.Udp_echo.unaccounted > 0 then begin
       Format.eprintf "FAIL: %d datagrams silently lost (unaccounted)@."
         r.Apps.Udp_echo.unaccounted;
@@ -451,7 +475,8 @@ let udp_echo_cmd =
           for $(b,--metrics)/$(b,--trace), and with $(b,--faults) the \
           recovery smoke test: exits 1 on silent datagram loss — every \
           missing echo must be covered by an accounted loss counter, or \
-          not happen at all")
+          not happen at all — or when an honest RAKIS run leaves the fast \
+          path")
     Term.(
       const run $ env_arg $ config_term $ datagrams $ size $ flows
       $ rdp $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
@@ -556,19 +581,12 @@ let loadgen_cmd =
     Format.printf "%a@." Apps.Loadgen.pp_stats s;
     report_faults h injector;
     report ~metrics ?trace_file h;
-    let verdict = Apps.Harness.fast_path_verdict h in
-    if verdict <> Apps.Harness.Not_applicable then
-      Format.printf "fast path: %a@." Apps.Harness.pp_fast_path verdict;
+    require_fast_path h;
     if s.Apps.Loadgen.unaccounted > 0 then begin
       Format.eprintf "FAIL: %d ops silently lost (unaccounted)@."
         s.Apps.Loadgen.unaccounted;
       exit 1
-    end;
-    match verdict with
-    | Apps.Harness.Broken _ ->
-        Format.eprintf "FAIL: an honest run left the fast path@.";
-        exit 1
-    | Apps.Harness.Held | Apps.Harness.Not_applicable -> ()
+    end
   in
   Cmd.v
     (Cmd.info "loadgen"

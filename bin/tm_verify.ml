@@ -2,7 +2,13 @@
    binary, with bounded-exhaustive search in place of KLEE).
 
    Modes:
-   - default: bounded-exhaustive model check of the certified rings;
+   - default: bounded-exhaustive exploration of the FM product machine
+     (certified ring x UMem x breaker x faults x shard, DESIGN.md §11).
+     --depth bounds the transition sequences (default 5), --queues sets
+     the shards (default 1), --max-states the state budget;
+     --min-states N additionally fails a run that visits fewer than N
+     distinct states (the CI coverage-regression gate), and --mutant M
+     runs against a known-bad driver mutation that must be caught;
    - --campaign: the full adversarial campaign — differential oracle
      runs (certified vs naive vs golden model), end-to-end single /
      pairwise / soup attack schedules on both datapaths, and a
@@ -274,7 +280,7 @@ let replay token =
       Format.printf "%a@." C.pp_outcome o;
       if C.failed o then exit 1
 
-let exhaustive ~depth ~queues ~min_states ~max_states ~mutant =
+let explore ~depth ~queues ~min_states ~max_states ~mutant =
   let mutant =
     match mutant with
     | "" -> None
@@ -327,14 +333,12 @@ let exhaustive ~depth ~queues ~min_states ~max_states ~mutant =
       Format.printf "@.exploration passed@."
 
 let () =
-  (* -1 = unset: the model check defaults to 3, --exhaustive to 5 *)
-  let depth = ref (-1)
-  and ring_size = ref 4
+  let depth = ref 5
   and budget = ref 2000
   and queues = ref 1
-  and mode = ref `Model_check
+  and mode = ref `Explore
   and faults_spec = ref ""
-  and min_states = ref 10_000
+  and min_states = ref 0
   and max_states = ref 250_000
   and mutant = ref ""
   and token = ref ""
@@ -346,12 +350,10 @@ let () =
     [
       ( "--depth",
         Arg.Set_int depth,
-        "schedule depth for the model check (default 3), transition-sequence \
-         bound for --exhaustive (default 5)" );
-      ("--ring-size", Arg.Set_int ring_size, "model-check ring slots (default 4)");
+        "transition-sequence bound for the exploration (default 5)" );
       ( "--campaign",
         Arg.Unit (fun () -> mode := `Campaign),
-        "run the adversarial campaign instead of the model check" );
+        "run the adversarial campaign instead of the exploration" );
       ( "--budget",
         Arg.Set_int budget,
         "campaign end-to-end step budget (default 2000)" );
@@ -359,7 +361,7 @@ let () =
         Arg.Set_int queues,
         "datapath shards for the campaign workloads (default 1; > 1 \
          additionally runs the shard-containment check), for --soak (at \
-         least 2) and for --exhaustive" );
+         least 2) and for the exploration" );
       ( "--faults",
         Arg.Set_string faults_spec,
         "host-fault plan for the campaign (';'-separated, e.g. \
@@ -370,18 +372,13 @@ let () =
             mode := `Replay;
             token := s),
         "replay one campaign or soak repro token" );
-      ( "--exhaustive",
-        Arg.Unit (fun () -> mode := `Exhaustive),
-        "exhaustive bounded exploration of the FM product machine \
-         (ring x UMem x breaker x faults x shard); use with --depth, \
-         --queues, --min-states" );
       ( "--min-states",
         Arg.Set_int min_states,
-        "fail --exhaustive below this many distinct states — the CI \
-         coverage-regression gate (default 10000)" );
+        "fail the exploration below this many distinct states — the CI \
+         coverage-regression gate (default 0: no floor)" );
       ( "--max-states",
         Arg.Set_int max_states,
-        "state budget for --exhaustive (default 250000)" );
+        "state budget for the exploration (default 250000)" );
       ( "--soak",
         Arg.Unit (fun () -> mode := `Soak),
         "run the overload-control chaos soak (flash crowd x rolling \
@@ -405,20 +402,19 @@ let () =
          (the whole soak rides the hostile wire; token gains 'wire=1')" );
       ( "--mutant",
         Arg.Set_string mutant,
-        "run --exhaustive against a known-bad driver mutation and require \
-         it to be caught (probe-off-by-one | probe-slot-leak | \
+        "run the exploration against a known-bad driver mutation and \
+         require it to be caught (probe-off-by-one | probe-slot-leak | \
          skip-reclaim | zc-release-early)" );
     ]
   in
   Arg.parse spec
     (fun _ -> ())
-    "tm_verify [--depth N] [--ring-size N]\n\
+    "tm_verify [--depth N] [--queues N] [--min-states N] [--max-states N] \
+     [--mutant M]\n\
     \       tm_verify --campaign [--budget N] [--queues N] [--faults PLAN] [--wire]\n\
     \       tm_verify --soak [--soak-steps N] [--queues N] [--seed N] [--slo-p99 \
      CYCLES] [--wire]\n\
-    \       tm_verify --replay TOKEN\n\
-    \       tm_verify --exhaustive [--depth N] [--queues N] [--min-states N] \
-     [--max-states N] [--mutant M]";
+    \       tm_verify --replay TOKEN";
   match !mode with
   | `Campaign -> (
       match Hostos.Faults.plan_of_string !faults_spec with
@@ -437,14 +433,6 @@ let () =
           sk_slo_p99 = !slo_p99;
           sk_wire = !wire;
         }
-  | `Exhaustive ->
-      let depth = if !depth < 0 then 5 else !depth in
-      exhaustive ~depth ~queues:!queues ~min_states:!min_states
+  | `Explore ->
+      explore ~depth:!depth ~queues:!queues ~min_states:!min_states
         ~max_states:!max_states ~mutant:!mutant
-  | `Model_check ->
-      let depth = if !depth < 0 then 3 else !depth in
-      Format.printf "RAKIS Testing Module: FM model check@.";
-      Format.printf "ring_size=%d depth=%d@.@." !ring_size depth;
-      let report = Tm.Model_check.verify ~ring_size:!ring_size ~depth () in
-      Format.printf "%a@." Tm.Model_check.pp_report report;
-      if not (Tm.Model_check.passed report) then exit 1

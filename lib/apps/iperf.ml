@@ -10,9 +10,16 @@ type result = {
   gap_p50 : int;  (** server-side inter-arrival gap percentiles, cycles *)
   gap_p99 : int;
   shards : Shards.report option;
+  ended_at_horizon : bool;
 }
 
 let port = 5201
+
+(* How long the client waits for its FIN to reach the server before it
+   sends another.  A FIN that is not dropped queues behind the data
+   backlog; the slowest server measured (gramine-sgx) sees it ~46 ms
+   after it was sent, so a FIN still in flight is never repeated. *)
+let fin_retry = Sim.Cycles.of_ms 100.
 
 let fin_marker = 'F'
 
@@ -24,7 +31,9 @@ let gap_for size =
   Int64.of_float (float_of_int frame *. !Sgx.Params.live_wire_cycles_per_byte)
 
 let server api ~stats ~gaps ~stop () =
-  let received_packets, received_bytes, first_rx, last_rx, done_ = stats in
+  let received_packets, received_bytes, first_rx, last_rx, fin_seen, done_ =
+    stats
+  in
   let fd = api.Libos.Api.udp_socket () in
   (match api.Libos.Api.bind fd (Packet.Addr.Ip.of_repr "10.0.0.1", port) with
   | Ok () -> ()
@@ -35,6 +44,7 @@ let server api ~stats ~gaps ~stop () =
         failwith (Format.asprintf "iperf server recv: %a" Abi.Errno.pp e)
     | Ok (payload, _) ->
         if Bytes.length payload > 0 && Bytes.get payload 0 = fin_marker then begin
+          fin_seen := true;
           (* With RSS the FIN flow can hash to an idle queue and overtake
              data still backlogged on another queue, so drain to
              quiescence: keep receiving until nothing arrives for a
@@ -107,7 +117,7 @@ let stream api ~packet_size ~packets ~src ~sent ~finished () =
   send 0 start;
   finished ()
 
-let client api ~packet_size ~packets ~streams ~srcs ~sent () =
+let client api ~packet_size ~packets ~streams ~srcs ~sent ~fin_seen () =
   let live = ref streams in
   let per_stream = max 1 (packets / streams) in
   let finished () =
@@ -121,9 +131,19 @@ let client api ~packet_size ~packets ~streams ~srcs ~sent () =
       for _ = 1 to 8 do
         ignore (api.Libos.Api.sendto fd fin dst);
         Sim.Engine.delay (Sim.Cycles.of_us 20.)
-      done
-      (* The server stops the run when the FIN reaches it; if every FIN
-         is dropped the run simply winds down idle. *)
+      done;
+      (* The server stops the run once a FIN reaches it.  A full queue
+         on the path can drop the whole round, so until the server has
+         seen one, repeat a FIN every [fin_retry] — the reliable
+         test-end message iperf3 sends over its control connection. *)
+      let rec retry () =
+        Sim.Engine.delay fin_retry;
+        if not !fin_seen then begin
+          ignore (api.Libos.Api.sendto fd fin dst);
+          retry ()
+        end
+      in
+      retry ()
     end
   in
   for s = 1 to streams - 1 do
@@ -150,14 +170,17 @@ let run ?(streams = 4) ?src_ports (h : Harness.t) ~packet_size ~packets =
   and received_bytes = ref 0
   and first_rx = ref None
   and last_rx = ref 0L
+  and fin_seen = ref false
   and done_ = ref false
   and sent = ref 0 in
-  let stats = (received_packets, received_bytes, first_rx, last_rx, done_) in
+  let stats =
+    (received_packets, received_bytes, first_rx, last_rx, fin_seen, done_)
+  in
   let gaps = Obs.Metrics.histogram (Obs.Metrics.create ()) "iperf.rx_gap" in
   Sim.Engine.spawn h.engine ~name:"iperf-server"
     (server (Harness.api h) ~stats ~gaps ~stop:(fun () -> Harness.stop h));
   Sim.Engine.spawn h.engine ~name:"iperf-client"
-    (client h.peer ~packet_size ~packets ~streams ~srcs ~sent);
+    (client h.peer ~packet_size ~packets ~streams ~srcs ~sent ~fin_seen);
   Harness.run h ~until:(Sim.Cycles.of_sec 30.);
   let duration =
     match !first_rx with
@@ -188,6 +211,7 @@ let run ?(streams = 4) ?src_ports (h : Harness.t) ~packet_size ~packets =
     gap_p50 = Obs.Metrics.percentile gaps 50.;
     gap_p99 = Obs.Metrics.percentile gaps 99.;
     shards;
+    ended_at_horizon = not !done_;
   }
 
 let pp_result ppf r =

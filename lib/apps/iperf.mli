@@ -21,6 +21,9 @@ type result = {
   shards : Shards.report option;
       (** per-shard exit accounting ([None] for non-RAKIS baselines);
           {!run} fails on a silently idle shard (see {!Shards}) *)
+  ended_at_horizon : bool;
+      (** no FIN ended the run: it ran to the simulated-time horizon,
+          so its figures do not describe a finished transfer *)
 }
 
 val port : int

@@ -1,9 +1,5 @@
 type role = Producer | Consumer
 
-type failure =
-  | Out_of_window of { observed : int; trusted_prod : int; trusted_cons : int }
-  | Regressed of { observed : int; previous : int }
-
 type t = {
   layout : Layout.t;
   role : role;
@@ -16,11 +12,9 @@ type t = {
   burst_slots : Obs.Metrics.counter; (* slots moved by those batches *)
   trace : Obs.Trace.t option;
   burst_label : string; (* precomputed: batch trace events are hot-path *)
-  on_failure : failure -> unit;
 }
 
-let create layout ~role ?(on_failure = fun _ -> ()) ?(init = 0) ?obs
-    ?(name = "ring") () =
+let create layout ~role ?(init = 0) ?obs ?(name = "ring") () =
   let init = U32.of_int init in
   (* Without a supplied sink the instruments live in a private registry:
      the accessors below still work and nothing is shared. *)
@@ -40,16 +34,13 @@ let create layout ~role ?(on_failure = fun _ -> ()) ?(init = 0) ?obs
     trace = Option.map Obs.trace obs;
     burst_label =
       (name ^ match role with Producer -> ".produce" | Consumer -> ".consume");
-    on_failure;
   }
 
 let role t = t.role
 
 let size t = t.size
 
-let reject t failure =
-  Obs.Metrics.incr t.failures;
-  t.on_failure failure
+let reject t = Obs.Metrics.incr t.failures
 
 (* Enclave is producer: refresh the trusted consumer from the untrusted
    consumer index.  Accept Cu iff 0 <= Pt - Cu <= St and the consumed
@@ -57,13 +48,11 @@ let reject t failure =
 let refresh_cons t =
   let observed = U32.of_int (Layout.read_cons t.layout) in
   let in_flight = U32.distance ~ahead:t.tprod ~behind:observed in
-  if in_flight > t.size then
-    reject t
-      (Out_of_window { observed; trusted_prod = t.tprod; trusted_cons = t.tcons })
+  if in_flight > t.size then reject t
   else if
     U32.distance ~ahead:observed ~behind:t.tcons
     > U32.distance ~ahead:t.tprod ~behind:t.tcons
-  then reject t (Regressed { observed; previous = t.tcons })
+  then reject t
   else t.tcons <- observed
 
 (* Enclave is consumer: refresh the trusted producer from the untrusted
@@ -72,11 +61,8 @@ let refresh_cons t =
 let refresh_prod t =
   let observed = U32.of_int (Layout.read_prod t.layout) in
   let filled = U32.distance ~ahead:observed ~behind:t.tcons in
-  if filled > t.size then
-    reject t
-      (Out_of_window { observed; trusted_prod = t.tprod; trusted_cons = t.tcons })
-  else if filled < U32.distance ~ahead:t.tprod ~behind:t.tcons then
-    reject t (Regressed { observed; previous = t.tprod })
+  if filled > t.size then reject t
+  else if filled < U32.distance ~ahead:t.tprod ~behind:t.tcons then reject t
   else t.tprod <- observed
 
 let require r t op =

@@ -14,7 +14,7 @@
       [0 <= Pt - Cu <= St] (Table 2, row "Consumer value ...").
 
     On failure the trusted copy is left unchanged (the Table 2 fail
-    action) and the failure is reported via [on_failure].  All index
+    action) and the ring's {!failures} counter is incremented.  All index
     arithmetic is modulo 2{^32} ({!U32}), which subsumes the paper's
     supplementary wrap-around checks.  Additionally the trusted copy
     never regresses: an accepted peer index that would shrink the
@@ -26,19 +26,11 @@
 
 type role = Producer | Consumer
 
-type failure =
-  | Out_of_window of { observed : int; trusted_prod : int; trusted_cons : int }
-      (** The peer index fails the Table 2 window check. *)
-  | Regressed of { observed : int; previous : int }
-      (** The peer index passed the window check but moved backwards
-          relative to the validated trusted copy. *)
-
 type t
 
 val create :
   Layout.t ->
   role:role ->
-  ?on_failure:(failure -> unit) ->
   ?init:int ->
   ?obs:Obs.t ->
   ?name:string ->

@@ -1,13 +1,11 @@
 (* Exhaustive bounded exploration of the full FM product machine
    (DESIGN.md §11).
 
-   {!Model_check} explores hostile index schedules against a single
-   certified ring.  This module explores the {e product} of everything
-   the FM composes per shard: certified ring indices x the UMem
-   ownership partition (free / out-Rx / out-Tx / limbo / registered) x
-   the circuit breaker (Closed / Open / Half_open, probe in flight,
-   cooldown) x a fault trigger x the shard id — under an interleaved
-   adversary that may, at every step, deliver frames honestly, deliver
+   This module explores the {e product} of everything the FM composes
+   per shard: certified ring indices x the UMem ownership partition
+   (free / out-Rx / out-Tx / limbo / registered) x the circuit breaker
+   (Closed / Open / Half_open, probe in flight, cooldown) x a fault
+   trigger x the shard id — under an interleaved adversary that may, at every step, deliver frames honestly, deliver
    garbage descriptors, smash the shared producer index, forge or
    withhold zero-copy notifs, arm a persistent fault, or stall.
 

@@ -1,13 +1,14 @@
 (** Exhaustive bounded exploration of the full FM product machine
     (DESIGN.md §11).
 
-    Where {!Model_check} enumerates hostile index schedules against a
-    single certified ring, this explorer walks the product of
-    everything the FM composes per shard — certified ring indices, the
-    UMem ownership partition (including zero-copy [Registered] frames),
-    the circuit breaker, a fault trigger and the shard id — under an
-    interleaved adversary, over a deliberately tiny bounded
-    configuration.  States are deduplicated by a structural
+    The explorer walks the product of everything the FM composes per
+    shard — certified ring indices, the UMem ownership partition
+    (including zero-copy [Registered] frames), the circuit breaker, a
+    fault trigger and the shard id — under an interleaved adversary,
+    over a deliberately tiny bounded configuration.  It is the
+    repository's one exhaustive checker of the paper's §5.1 property:
+    hostile index schedules against a certified ring are the V2/V3
+    slice of this product.  States are deduplicated by a structural
     abstraction; after every transition eight invariant families
     (V1–V8) are asserted, most of them conformance checks against the
     pure {!Stm_model} reference machines.  V8 is the notif-anchored

@@ -17,6 +17,31 @@ type 'a result = {
 let remove_slice l start len =
   List.filteri (fun i _ -> i < start || i >= start + len) l
 
+(* The one ddmin sweep: delete chunks, halving the chunk size down to
+   single elements, until no deletion keeps [try_fails] true.  It may
+   shrink to empty; [minimize] guards that out, [minimize2] allows it. *)
+let ddmin ~try_fails l =
+  if l = [] then l
+  else
+    let rec shrink chunk l =
+      let changed = ref false in
+      let cur = ref l in
+      let start = ref 0 in
+      while !start < List.length !cur do
+        let cand = remove_slice !cur !start chunk in
+        if List.length cand < List.length !cur && try_fails cand then begin
+          (* Keep [start] in place: the next chunk slid into position. *)
+          cur := cand;
+          changed := true
+        end
+        else start := !start + chunk
+      done;
+      if !changed then shrink chunk !cur
+      else if chunk > 1 then shrink (chunk / 2) !cur
+      else !cur
+    in
+    shrink (max 1 (List.length l / 2)) l
+
 let minimize ?(max_tests = 10_000) ~fails trace =
   let tests = ref 0 in
   let try_fails c =
@@ -24,28 +49,13 @@ let minimize ?(max_tests = 10_000) ~fails trace =
     !tests <= max_tests && fails c
   in
   let original = List.length trace in
-  let rec shrink chunk trace =
-    let changed = ref false in
-    let cur = ref trace in
-    let start = ref 0 in
-    while !start < List.length !cur do
-      let cand = remove_slice !cur !start chunk in
-      if cand <> [] && List.length cand < List.length !cur && try_fails cand
-      then begin
-        (* Keep [start] in place: the next chunk slid into position. *)
-        cur := cand;
-        changed := true
-      end
-      else start := !start + chunk
-    done;
-    if !changed then shrink chunk !cur
-    else if chunk > 1 then shrink (chunk / 2) !cur
-    else !cur
-  in
   if original = 0 || not (try_fails trace) then
     { trace; original; tests = !tests }
   else
-    let trace = shrink (max 1 (original / 2)) trace in
+    (* The single-list entry point never shrinks to empty: the guard
+       runs before the predicate, so a refused empty candidate costs
+       no test. *)
+    let trace = ddmin ~try_fails:(fun c -> c <> [] && try_fails c) trace in
     { trace; original; tests = !tests }
 
 let ratio r =
@@ -68,28 +78,6 @@ type ('a, 'b) result2 = {
   original2 : int * int;  (* input lengths: (trace, plan) *)
   tests2 : int;
 }
-
-(* ddmin sweep that allows the empty candidate. *)
-let ddmin ~try_fails l =
-  if l = [] then l
-  else
-    let rec shrink chunk l =
-      let changed = ref false in
-      let cur = ref l in
-      let start = ref 0 in
-      while !start < List.length !cur do
-        let cand = remove_slice !cur !start chunk in
-        if List.length cand < List.length !cur && try_fails cand then begin
-          cur := cand;
-          changed := true
-        end
-        else start := !start + chunk
-      done;
-      if !changed then shrink chunk !cur
-      else if chunk > 1 then shrink (chunk / 2) !cur
-      else !cur
-    in
-    shrink (max 1 (List.length l / 2)) l
 
 let minimize2 ?(max_tests = 20_000) ~fails trace plan =
   let tests = ref 0 in

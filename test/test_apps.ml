@@ -103,6 +103,17 @@ let test_iperf_figure2_exit_counts () =
   check_bool "gramine >= one exit per packet" true (gramine >= 500);
   check_bool "rakis exits are boot-only" true (rakis < 50)
 
+(* 10k datagrams overrun the server's XSK rings, and the first FIN
+   round lands while they are still full: all eight FINs are dropped.
+   The client must repeat a FIN until the server sees one, not leave the
+   run to the 30 s horizon. *)
+let test_iperf_ends_by_fin () =
+  let r =
+    with_fast_path Libos.Env.Rakis_sgx (fun h ->
+        Apps.Iperf.run h ~packet_size:1460 ~packets:10_000)
+  in
+  check_bool "ended by FIN, not at the horizon" false r.ended_at_horizon
+
 (* {1 memcached} *)
 
 let test_memcached_completes_everywhere () =
@@ -336,4 +347,5 @@ let suite =
      test_mcrypt_compute_bound);
     ("accounting: socket close counts queued datagrams", `Quick,
      test_close_drops_accounted);
+    ("iperf: 10k datagrams end by FIN", `Quick, test_iperf_ends_by_fin);
   ]

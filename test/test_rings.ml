@@ -235,20 +235,6 @@ let test_certified_skip_advances () =
   Certified.skip cons (* empty: no-op *);
   check_bool "invariant" true (Certified.invariant_holds cons)
 
-let test_certified_on_failure_callback () =
-  let l = make_ring ~size:4 () in
-  let seen = ref [] in
-  let cons =
-    Certified.create l ~role:Certified.Consumer
-      ~on_failure:(fun f -> seen := f :: !seen)
-      ()
-  in
-  Hostos.Malice.smash_prod l 100;
-  ignore (Certified.available cons);
-  match !seen with
-  | [ Certified.Out_of_window { observed = 100; _ } ] -> ()
-  | _ -> Alcotest.fail "expected Out_of_window callback"
-
 (* {1 Certified: batch accessors} *)
 
 let test_batch_empty_ring () =
@@ -743,8 +729,6 @@ let suite =
     ("certified: consumer wrap attack", `Quick,
      test_certified_consumer_wrap_attack);
     ("certified: skip fail-action", `Quick, test_certified_skip_advances);
-    ("certified: failure callback", `Quick,
-     test_certified_on_failure_callback);
     ("certified batch: empty ring", `Quick, test_batch_empty_ring);
     ("certified batch: produce clamps to exactly-full", `Quick,
      test_batch_produce_fills_exactly);
