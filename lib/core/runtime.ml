@@ -168,9 +168,12 @@ let xdp_program t shard frame =
       Hostos.Xdp.Pass
     else Hostos.Xdp.Redirect
   else
-    match Packet.Eth.parse frame with
-    | Ok { ethertype = Arp; payload; _ } -> (
-        match Packet.Arp.parse payload with
+    (* The ethertype is read in place; only an ARP body is copied. *)
+    match Packet.Eth.check frame ~off:0 ~len:(Bytes.length frame) with
+    | Ok n when Packet.Eth.ethertype frame ~off:0 = Arp -> (
+        match
+          Packet.Arp.parse (Bytes.sub frame Packet.Eth.header_size n)
+        with
         | Ok arp when Packet.Addr.Ip.equal arp.target_ip t.config.Config.ip ->
             if xsk_failover_ready t && any_shard_degraded t then
               Hostos.Xdp.Pass
@@ -258,7 +261,7 @@ let on_xsk_open t shard () =
    failback; this kernel delivers UDP by port, and any genuine ARP
    traffic overwrites it.) *)
 let failover_transmit t shard frame =
-  match Packet.Frame.dissect_udp frame with
+  match Packet.Frame.check_udp frame ~len:(Bytes.length frame) with
   | Ok _ -> reroute_frame t shard frame
   | Error _ -> (
       match Packet.Eth.parse frame with

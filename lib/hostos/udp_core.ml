@@ -183,32 +183,37 @@ let handle_arp t nic arp =
            reply)
   | Request | Reply -> ()
 
+(* The headers are checked and read in place; the payload a socket
+   queues is the datagram's one copy. *)
 let stack_input t nic frame =
   charge_softirq ();
-  match Packet.Eth.parse frame with
-  | Error _ -> ()
-  | Ok eth -> (
-      match eth.ethertype with
+  let len = Bytes.length frame in
+  match Packet.Frame.check_udp frame ~len with
+  | Ok n -> (
+      let ip_off = Packet.Eth.header_size in
+      let udp_off = ip_off + Packet.Ipv4.header_size in
+      match
+        Hashtbl.find_opt t.by_port (Packet.Udp.dst_port frame ~off:udp_off)
+      with
+      | None ->
+          Sim.Stats.incr (Sim.Engine.stats t.engine) "udp.no_socket_drops"
+      | Some sock ->
+          let payload = Bytes.sub frame Packet.Frame.frame_overhead n
+          and src =
+            ( Packet.Ipv4.src frame ~off:ip_off,
+              Packet.Udp.src_port frame ~off:udp_off )
+          in
+          if Sim.Mailbox.try_put sock.rxq (payload, src) then
+            Sim.Condition.broadcast sock.activity
+          else Sim.Stats.incr (Sim.Engine.stats t.engine) "udp.buffer_drops")
+  | Error Not_ipv4 -> (
+      match Packet.Eth.ethertype frame ~off:0 with
       | Arp -> (
-          match Packet.Arp.parse eth.payload with
+          let off = Packet.Eth.header_size in
+          match Packet.Arp.parse (Bytes.sub frame off (len - off)) with
           | Ok arp -> handle_arp t nic arp
           | Error _ -> ())
-      | Unknown _ -> ()
-      | Ipv4 -> (
-          match Packet.Frame.dissect_udp frame with
-          | Error _ -> ()
-          | Ok (info, payload) -> (
-              match Hashtbl.find_opt t.by_port info.dst_port with
-              | None ->
-                  Sim.Stats.incr (Sim.Engine.stats t.engine)
-                    "udp.no_socket_drops"
-              | Some sock ->
-                  if
-                    Sim.Mailbox.try_put sock.rxq
-                      (payload, (info.src_ip, info.src_port))
-                  then Sim.Condition.broadcast sock.activity
-                  else
-                    Sim.Stats.incr (Sim.Engine.stats t.engine)
-                      "udp.buffer_drops")))
+      | Ipv4 | Unknown _ -> ())
+  | Error _ -> ()
 
 let activity sock = sock.activity

@@ -242,11 +242,14 @@ let find_socket t port =
       Sim.Lock.release t.table_lock;
       sock
 
-let handle_udp t (ip_pkt : Packet.Ipv4.t) =
-  match Packet.Udp.parse ~src:ip_pkt.src ~dst:ip_pkt.dst ip_pkt.payload with
+(* The receive path checks every header in place over the borrowed
+   [frame] and reads its fields where they lie; the one copy is the UDP
+   payload a socket keeps.  [off]/[len] bound the IPv4 payload. *)
+let handle_udp t frame ~off ~len ~src ~dst =
+  match Packet.Udp.check ~src ~dst frame ~off ~len with
   | Error _ -> drop t "bad-udp"
-  | Ok udp -> (
-      match find_socket t udp.dst_port with
+  | Ok n -> (
+      match find_socket t (Packet.Udp.dst_port frame ~off) with
       | None -> drop t "no-socket"
       | Some sock ->
           let admitted =
@@ -256,56 +259,74 @@ let handle_udp t (ip_pkt : Packet.Ipv4.t) =
           in
           if not admitted then drop t "overload-shed"
           else if
-            Udp_socket.enqueue sock udp.payload
-              ~src:(ip_pkt.src, udp.src_port)
+            Udp_socket.enqueue sock
+              (Bytes.sub frame (off + Packet.Udp.header_size) n)
+              ~src:(src, Packet.Udp.src_port frame ~off)
           then Obs.Metrics.incr t.rx_delivered
           else drop t "queue-full")
 
-let deliver t (ip_pkt : Packet.Ipv4.t) =
-  match ip_pkt.proto with
-  | Packet.Ipv4.Udp -> handle_udp t ip_pkt
+let deliver t frame ~off ~len ~proto ~src ~dst =
+  match (proto : Packet.Ipv4.proto) with
+  | Udp -> handle_udp t frame ~off ~len ~src ~dst
   | Tcp | Icmp | Other _ -> drop t "not-udp"
+
+(* Fragments are rare: they keep the copying parser, and the reassembler
+   keeps the copy. *)
+let input_fragment t packet =
+  match Packet.Ipv4.parse_fragment packet with
+  | Error _ -> drop t "bad-ip"
+  | Ok frag ->
+      if not (Packet.Addr.Ip.equal frag.packet.dst t.ip) then drop t "not-ours"
+      else begin
+        (match Reassembly.insert t.reasm frag with
+        | Reassembly.Complete ip ->
+            deliver t ip.payload ~off:0 ~len:(Bytes.length ip.payload)
+              ~proto:ip.proto ~src:ip.src ~dst:ip.dst
+        | Reassembly.Pending -> ()
+        | Reassembly.Rejected reason -> drop t reason);
+        (* Reassemblies the lazy sweep abandoned since we last looked
+           become accounted drops now. *)
+        let ex = Reassembly.expired t.reasm in
+        for _ = t.reasm_expired_seen + 1 to ex do
+          drop t "frag-expired"
+        done;
+        t.reasm_expired_seen <- ex
+      end
 
 let input_frame t frame len =
   charge_packet ();
-  match Packet.Eth.parse_sub frame ~len with
+  match Packet.Eth.check frame ~off:0 ~len with
   | Error _ -> drop t "bad-eth"
-  | Ok eth -> (
-      let for_us =
-        Packet.Addr.Mac.equal eth.dst t.mac
-        || Packet.Addr.Mac.is_broadcast eth.dst
-      in
-      if not for_us then drop t "not-ours"
+  | Ok eth_len -> (
+      let dst_mac = Packet.Eth.dst frame ~off:0 in
+      if
+        not
+          (Packet.Addr.Mac.equal dst_mac t.mac
+          || Packet.Addr.Mac.is_broadcast dst_mac)
+      then drop t "not-ours"
       else
-        match eth.ethertype with
+        let off = Packet.Eth.header_size in
+        match Packet.Eth.ethertype frame ~off:0 with
         | Unknown _ -> drop t "bad-eth"
         | Arp -> (
-            match Packet.Arp.parse eth.payload with
+            match Packet.Arp.parse (Bytes.sub frame off eth_len) with
             | Error _ -> drop t "bad-arp"
             | Ok arp -> handle_arp t arp)
         | Ipv4 -> (
-            match Packet.Ipv4.parse_fragment eth.payload with
+            match Packet.Ipv4.check frame ~off ~len:eth_len with
+            | Error Fragmented ->
+                input_fragment t (Bytes.sub frame off eth_len)
             | Error _ -> drop t "bad-ip"
-            | Ok frag ->
-                let ip_pkt = frag.Packet.Ipv4.packet in
-                if not (Packet.Addr.Ip.equal ip_pkt.dst t.ip) then
-                  drop t "not-ours"
-                else if
-                  frag.Packet.Ipv4.more || frag.Packet.Ipv4.frag_offset <> 0
-                then begin
-                  (match Reassembly.insert t.reasm frag with
-                  | Reassembly.Complete ip_pkt -> deliver t ip_pkt
-                  | Reassembly.Pending -> ()
-                  | Reassembly.Rejected reason -> drop t reason);
-                  (* Reassemblies the lazy sweep abandoned since we last
-                     looked become accounted drops now. *)
-                  let ex = Reassembly.expired t.reasm in
-                  for _ = t.reasm_expired_seen + 1 to ex do
-                    drop t "frag-expired"
-                  done;
-                  t.reasm_expired_seen <- ex
-                end
-                else deliver t ip_pkt))
+            | Ok ip_len ->
+                let dst = Packet.Ipv4.dst frame ~off in
+                if not (Packet.Addr.Ip.equal dst t.ip) then drop t "not-ours"
+                else
+                  deliver t frame
+                    ~off:(off + Packet.Ipv4.header_size)
+                    ~len:ip_len
+                    ~proto:(Packet.Ipv4.proto frame ~off)
+                    ~src:(Packet.Ipv4.src frame ~off)
+                    ~dst))
 
 (* In [`Global] mode all packet processing serializes behind one lock —
    the original LWIP discipline; in [`Fine] mode only the socket table

@@ -92,10 +92,11 @@ val input : t -> Bytes.t -> unit
 
 val input_borrowed : t -> Bytes.t -> len:int -> unit
 (** Like {!input} but the frame occupies the first [len] bytes of a
-    borrowed buffer the caller will reuse (the FM's scratch frame):
-    everything the stack keeps past the call — ARP entries, queued UDP
-    payloads — is copied out during parsing, so no per-packet
-    allocation is needed on the caller's side. *)
+    borrowed buffer the caller will reuse (the FM's scratch frame).
+    Every header is checked in place and nothing past [len] is read;
+    what the stack keeps past the call is copied out — a queued UDP
+    payload (the datagram's one copy), an ARP body, an IPv4 fragment
+    for the reassembler — so the buffer may be reused on return. *)
 
 (** {1 Introspection} *)
 

@@ -43,6 +43,12 @@ let compute b off len = finish (ones_sum b off len)
 
 let valid b off len = fold_carry (ones_sum b off len) = 0xffff
 
+(* The field's two bytes are skipped rather than zeroed; [field] is even,
+   so both halves keep the RFC's 16-bit pairing. *)
+let sum_around b off len ~field =
+  fold_carry
+    (ones_sum b off field + ones_sum b (off + field + 2) (len - field - 2))
+
 let pseudo_header_sum ~src ~dst ~proto ~len =
   fold_carry
     ((src lsr 16) + (src land 0xffff)

@@ -22,5 +22,12 @@ val compute : Bytes.t -> int -> int -> int
 val valid : Bytes.t -> int -> int -> bool
 (** A region that embeds its own checksum field sums to 0xffff. *)
 
+val sum_around : Bytes.t -> int -> int -> field:int -> int
+(** [sum_around b off len ~field] is {!ones_sum} of the [len] bytes at
+    [off] as if the 16-bit checksum field at [off + field] were zero,
+    without writing to the buffer: [finish] of it is what a sender
+    stores there, and what a receiver reports as expected when the
+    stored value is wrong.  [field] must be even. *)
+
 val pseudo_header_sum : src:int -> dst:int -> proto:int -> len:int -> int
 (** One's-complement sum of the IPv4 pseudo-header used by UDP/TCP. *)

@@ -18,16 +18,40 @@ val ethertype_to_int : ethertype -> int
 
 val ethertype_of_int : int -> ethertype
 
+val write_header :
+  Bytes.t ->
+  off:int ->
+  dst:Addr.Mac.t ->
+  src:Addr.Mac.t ->
+  ethertype:ethertype ->
+  unit
+(** Write the 14 header bytes at [off]; the payload is not touched. *)
+
 val build : t -> Bytes.t
 (** Serialize header + payload into a fresh buffer. *)
 
-val parse : Bytes.t -> (t, error) result
-(** The payload is a copy: callers may mutate it freely. *)
+(** {1 In place}
 
-val parse_sub : Bytes.t -> len:int -> (t, error) result
-(** Parse the first [len] bytes of a possibly larger (borrowed) buffer;
-    the payload is still a fresh copy, so the buffer may be reused as
-    soon as this returns.  Raises [Invalid_argument] when [len] exceeds
-    the buffer. *)
+    {!check} validates the header of a frame inside a borrowed buffer
+    without copying it; the field readers then read the header where it
+    lies.  Nothing outside the checked range is read. *)
+
+val check : Bytes.t -> off:int -> len:int -> (int, error) result
+(** Validate the [len]-byte frame at [off].  [Ok n]: the payload is the
+    [n] bytes at [off + header_size].  Raises [Invalid_argument] when
+    the range exceeds the buffer. *)
+
+val dst : Bytes.t -> off:int -> Addr.Mac.t
+(** The destination of the frame at [off] (which {!check} accepted). *)
+
+val src : Bytes.t -> off:int -> Addr.Mac.t
+
+val ethertype : Bytes.t -> off:int -> ethertype
+
+(** {1 Records} *)
+
+val parse : Bytes.t -> (t, error) result
+(** {!check} of the whole buffer, read into a record whose payload is a
+    copy. *)
 
 val pp_error : Format.formatter -> error -> unit

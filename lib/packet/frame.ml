@@ -18,52 +18,64 @@ let frame_overhead = Eth.header_size + Ipv4.header_size + Udp.header_size
 
 let ident_counter = ref 0
 
-let build_udp info payload =
-  let udp =
-    Udp.build ~src:info.src_ip ~dst:info.dst_ip
-      { Udp.src_port = info.src_port; dst_port = info.dst_port; payload }
-  in
-  incr ident_counter;
-  let ip =
-    Ipv4.build
-      {
-        Ipv4.src = info.src_ip;
-        dst = info.dst_ip;
-        proto = Ipv4.Udp;
-        ttl = 64;
-        ident = !ident_counter;
-        payload = udp;
-      }
-  in
-  Eth.build
-    { Eth.dst = info.dst_mac; src = info.src_mac; ethertype = Ipv4; payload = ip }
+let ip_off = Eth.header_size
 
-let dissect_udp frame =
-  match Eth.parse frame with
+let udp_off = Eth.header_size + Ipv4.header_size
+
+(* The payload first, then the headers inside out — the UDP checksum
+   covers the payload already in place — all in one buffer of the
+   final size. *)
+let build_udp info payload =
+  let plen = Bytes.length payload in
+  let udp_len = Udp.header_size + plen in
+  let b = Bytes.create (frame_overhead + plen) in
+  Bytes.blit payload 0 b frame_overhead plen;
+  Udp.write_header b ~off:udp_off ~src:info.src_ip ~dst:info.dst_ip
+    ~src_port:info.src_port ~dst_port:info.dst_port ~len:udp_len;
+  incr ident_counter;
+  Ipv4.write_header b ~off:ip_off ~src:info.src_ip ~dst:info.dst_ip
+    ~proto:Ipv4.Udp ~ttl:64 ~ident:!ident_counter ~flags_frag:0
+    ~payload_len:udp_len;
+  Eth.write_header b ~off:0 ~dst:info.dst_mac ~src:info.src_mac
+    ~ethertype:Ipv4;
+  b
+
+let check_udp frame ~len =
+  match Eth.check frame ~off:0 ~len with
   | Error e -> Error (Eth e)
-  | Ok eth -> (
-      match eth.ethertype with
+  | Ok ip_len -> (
+      match Eth.ethertype frame ~off:0 with
       | Arp | Unknown _ -> Error Not_ipv4
       | Ipv4 -> (
-          match Ipv4.parse eth.payload with
+          match Ipv4.check frame ~off:ip_off ~len:ip_len with
           | Error e -> Error (Ip e)
-          | Ok ip -> (
-              match ip.proto with
+          | Ok udp_len -> (
+              match Ipv4.proto frame ~off:ip_off with
               | Tcp | Icmp | Other _ -> Error Not_udp
               | Udp -> (
-                  match Udp.parse ~src:ip.src ~dst:ip.dst ip.payload with
+                  match
+                    Udp.check
+                      ~src:(Ipv4.src frame ~off:ip_off)
+                      ~dst:(Ipv4.dst frame ~off:ip_off)
+                      frame ~off:udp_off ~len:udp_len
+                  with
                   | Error e -> Error (Udp_err e)
-                  | Ok udp ->
-                      Ok
-                        ( {
-                            src_mac = eth.src;
-                            dst_mac = eth.dst;
-                            src_ip = ip.src;
-                            dst_ip = ip.dst;
-                            src_port = udp.src_port;
-                            dst_port = udp.dst_port;
-                          },
-                          udp.payload )))))
+                  | Ok n -> Ok n))))
+
+let info frame =
+  {
+    src_mac = Eth.src frame ~off:0;
+    dst_mac = Eth.dst frame ~off:0;
+    src_ip = Ipv4.src frame ~off:ip_off;
+    dst_ip = Ipv4.dst frame ~off:ip_off;
+    src_port = Udp.src_port frame ~off:udp_off;
+    dst_port = Udp.dst_port frame ~off:udp_off;
+  }
+
+let dissect_udp frame =
+  match check_udp frame ~len:(Bytes.length frame) with
+  | Error e -> Error e
+  | Ok n -> Ok (info frame, Bytes.sub frame frame_overhead n)
 
 let build_arp ~src_mac ~dst_mac arp =
   Eth.build

@@ -12,7 +12,8 @@ type udp_info = {
 }
 
 val build_udp : udp_info -> Bytes.t -> Bytes.t
-(** [build_udp info payload] is a full layer-2 frame. *)
+(** [build_udp info payload] is a full layer-2 frame, written into one
+    buffer of its final size. *)
 
 type dissect_error =
   | Eth of Eth.error
@@ -21,8 +22,15 @@ type dissect_error =
   | Not_udp
   | Udp_err of Udp.error
 
+val check_udp : Bytes.t -> len:int -> (int, dissect_error) result
+(** Validate the frame in the first [len] bytes of the buffer down to
+    the UDP payload, every layer in place and nothing past [len] read.
+    [Ok n]: the payload is the [n] bytes at {!frame_overhead}.  Raises
+    [Invalid_argument] when [len] exceeds the buffer. *)
+
 val dissect_udp : Bytes.t -> (udp_info * Bytes.t, dissect_error) result
-(** Parse a full frame down to the UDP payload, validating every layer. *)
+(** {!check_udp} of the whole buffer, with the addresses and ports read
+    into a record and the payload copied out. *)
 
 val build_arp : src_mac:Addr.Mac.t -> dst_mac:Addr.Mac.t -> Arp.t -> Bytes.t
 

@@ -10,58 +10,70 @@ let header_size = 8
 
 let max_payload = 1500 - Ipv4.header_size - header_size
 
-let checksum_of ~src ~dst b len =
-  let pseudo =
-    Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
-      ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len
+let pseudo ~src ~dst len =
+  Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
+    ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len
+
+(* The checksum a sender stores for the [len]-byte datagram at [off]. *)
+let checksum_of ~src ~dst b off len =
+  let c =
+    Checksum.finish
+      (pseudo ~src ~dst len + Checksum.sum_around b off len ~field:6)
   in
-  let c = Checksum.finish (Checksum.ones_sum ~init:pseudo b 0 len) in
   (* An all-zero computed checksum is transmitted as 0xffff (RFC 768). *)
   if c = 0 then 0xffff else c
 
+let write_header b ~off ~src ~dst ~src_port ~dst_port ~len =
+  Bytes.set_uint16_be b off (src_port land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (dst_port land 0xffff);
+  Bytes.set_uint16_be b (off + 4) len;
+  Bytes.set_uint16_be b (off + 6) (checksum_of ~src ~dst b off len)
+
 let build ~src ~dst t =
-  let len = header_size + Bytes.length t.payload in
+  let plen = Bytes.length t.payload in
+  let len = header_size + plen in
   let b = Bytes.create len in
-  Bytes.set_uint16_be b 0 (t.src_port land 0xffff);
-  Bytes.set_uint16_be b 2 (t.dst_port land 0xffff);
-  Bytes.set_uint16_be b 4 len;
-  Bytes.set_uint16_be b 6 0;
-  Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
-  Bytes.set_uint16_be b 6 (checksum_of ~src ~dst b len);
+  Bytes.blit t.payload 0 b header_size plen;
+  write_header b ~off:0 ~src ~dst ~src_port:t.src_port ~dst_port:t.dst_port
+    ~len;
   b
 
-let parse ~src ~dst b =
-  let blen = Bytes.length b in
-  if blen < header_size then Error (Truncated blen)
+let src_port b ~off = Bytes.get_uint16_be b off
+
+let dst_port b ~off = Bytes.get_uint16_be b (off + 2)
+
+(* A non-zero stored checksum is verified in place: the ones'-sum of the
+   pseudo-header and the datagram, stored field included, folds to
+   0xffff — its [finish] is 0 — exactly when the stored field is the one
+   {!checksum_of} computes. *)
+let check ~src ~dst b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Udp.check: range out of bounds";
+  if len < header_size then Error (Truncated len)
   else
-    let len = Bytes.get_uint16_be b 4 in
-    if len < header_size || len > blen then Error (Bad_length (len, blen))
+    let ulen = Bytes.get_uint16_be b (off + 4) in
+    if ulen < header_size || ulen > len then Error (Bad_length (ulen, len))
+    else if src_port b ~off = 0 || dst_port b ~off = 0 then Error Bad_port
     else
-      let src_port = Bytes.get_uint16_be b 0 in
-      let dst_port = Bytes.get_uint16_be b 2 in
-      if src_port = 0 || dst_port = 0 then Error Bad_port
-      else
-        let stored = Bytes.get_uint16_be b 6 in
-        if stored <> 0 then begin
-          let b' = Bytes.sub b 0 len in
-          Bytes.set_uint16_be b' 6 0;
-          let expected = checksum_of ~src ~dst b' len in
-          if expected <> stored then Error (Bad_checksum (expected, stored))
-          else
-            Ok
-              {
-                src_port;
-                dst_port;
-                payload = Bytes.sub b header_size (len - header_size);
-              }
-        end
-        else
-          Ok
-            {
-              src_port;
-              dst_port;
-              payload = Bytes.sub b header_size (len - header_size);
-            }
+      let stored = Bytes.get_uint16_be b (off + 6) in
+      if
+        stored <> 0
+        && Checksum.finish
+             (pseudo ~src ~dst ulen + Checksum.ones_sum b off ulen)
+           <> 0
+      then Error (Bad_checksum (checksum_of ~src ~dst b off ulen, stored))
+      else Ok (ulen - header_size)
+
+let parse ~src ~dst b =
+  match check ~src ~dst b ~off:0 ~len:(Bytes.length b) with
+  | Error e -> Error e
+  | Ok n ->
+      Ok
+        {
+          src_port = src_port b ~off:0;
+          dst_port = dst_port b ~off:0;
+          payload = Bytes.sub b header_size n;
+        }
 
 let pp_error ppf = function
   | Truncated n -> Format.fprintf ppf "truncated udp datagram (%d bytes)" n

@@ -199,7 +199,20 @@ exception Contract of string
 
 let contract c msg = if not c then raise (Contract msg)
 
-let codecs ~rdp ~reasm ~reasm_clock =
+(* [input] at the head of a buffer padded to a UMem frame with trailing
+   junk — copies of the input itself, so a reader that strays past [len]
+   meets plausible headers rather than zeros.  Deterministic: the
+   fuzzer's random stream is untouched. *)
+let with_trailing_junk input =
+  let len = Bytes.length input in
+  let b = Bytes.make (max Sgx.Params.umem_frame_size len) '\xff' in
+  if len > 0 then
+    for i = 0 to Bytes.length b - 1 do
+      Bytes.set b i (Bytes.get input (i mod len))
+    done;
+  b
+
+let codecs ~rdp ~reasm ~reasm_clock ~borrowed =
   [
     ( "eth.parse",
       fun b ->
@@ -243,6 +256,29 @@ let codecs ~rdp ~reasm ~reasm_clock =
             contract
               (Bytes.length payload <= Bytes.length b)
               "frame payload exceeds buffer" );
+    ( "frame.check_udp",
+      fun b ->
+        match Packet.Frame.check_udp b ~len:(Bytes.length b) with
+        | Error _ -> ()
+        | Ok n ->
+            contract
+              (Packet.Frame.frame_overhead + n <= Bytes.length b)
+              "in-place payload exceeds buffer" );
+    ( "stack.input_borrowed",
+      fun b ->
+        let stack, socks = borrowed in
+        Netstack.Stack.input_borrowed stack (with_trailing_junk b)
+          ~len:(Bytes.length b);
+        List.iter
+          (fun sock ->
+            while Netstack.Udp_socket.readable sock do
+              (* A reassembled datagram may outgrow any one frame. *)
+              let payload, _ = Netstack.Udp_socket.recvfrom sock ~max:65536 in
+              contract
+                (Bytes.length payload <= 65535)
+                "borrowed datagram exceeds 64k"
+            done)
+          socks );
     ("frame.peek_udp_ports", fun b -> ignore (Packet.Frame.peek_udp_ports b));
     ("frame.rss_queue", fun b -> ignore (Packet.Frame.rss_queue ~queues:4 b));
     ( "rdp.input",
@@ -341,7 +377,18 @@ let run ?(seed = 0xF00DL) ?(executions = 50_000) () =
   let rdp = Netstack.Rdp.create () in
   let reasm_clock = ref 0L in
   let reasm = Netstack.Reassembly.create ~clock:(fun () -> !reasm_clock) () in
-  let codec_list = codecs ~rdp ~reasm ~reasm_clock in
+  (* A second stack fed each input as a borrowed frame with trailing
+     junk (the FM's scratch-buffer shape), its sockets drained after
+     every input. *)
+  let borrowed =
+    let s = Netstack.Stack.create engine ~mac:stack_mac ~ip:stack_ip () in
+    Netstack.Stack.set_transmit s (fun _frame -> ());
+    ( s,
+      List.map
+        (fun port -> Result.get_ok (Netstack.Stack.bind s ~port))
+        bound_ports )
+  in
+  let codec_list = codecs ~rdp ~reasm ~reasm_clock ~borrowed in
   let codec_checks = ref 0 in
   let codec_exec input =
     List.iter

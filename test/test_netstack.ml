@@ -543,6 +543,268 @@ let prop_accounting_consistent =
          Stack.rx_delivered stack + Stack.rx_dropped stack >= 1
          && Stack.rx_delivered stack + Stack.rx_dropped stack <= valid + 1))
 
+(* {1 One-copy receive path: the in-place stack against the record
+   parsers} *)
+
+(* The receive decision made by the record parsers — every layer parsed
+   into a record whose payload is a copy — with its own reassembler.
+   Port 5201 is the one bound port. *)
+type reference = {
+  reasm : Reassembly.t;
+  mutable drops : (string * int) list;
+  mutable got : (string * (Packet.Addr.Ip.t * int)) list;  (** newest first *)
+}
+
+let reference () = { reasm = Reassembly.create (); drops = []; got = [] }
+
+let ref_drop r reason =
+  let n = Option.value (List.assoc_opt reason r.drops) ~default:0 in
+  r.drops <- (reason, n + 1) :: List.remove_assoc reason r.drops
+
+let ref_deliver r (ip : Packet.Ipv4.t) =
+  match ip.proto with
+  | Udp -> (
+      match Packet.Udp.parse ~src:ip.src ~dst:ip.dst ip.payload with
+      | Error _ -> ref_drop r "bad-udp"
+      | Ok u when u.dst_port = 5201 ->
+          r.got <- (Bytes.to_string u.payload, (ip.src, u.src_port)) :: r.got
+      | Ok _ -> ref_drop r "no-socket")
+  | Tcp | Icmp | Other _ -> ref_drop r "not-udp"
+
+let ref_input r frame =
+  match Packet.Eth.parse frame with
+  | Error _ -> ref_drop r "bad-eth"
+  | Ok eth -> (
+      if
+        not
+          (Packet.Addr.Mac.equal eth.dst mac
+          || Packet.Addr.Mac.is_broadcast eth.dst)
+      then ref_drop r "not-ours"
+      else
+        match eth.ethertype with
+        | Unknown _ -> ref_drop r "bad-eth"
+        | Arp -> (
+            match Packet.Arp.parse eth.payload with
+            | Error _ -> ref_drop r "bad-arp"
+            | Ok _ -> ())
+        | Ipv4 -> (
+            match Packet.Ipv4.parse_fragment eth.payload with
+            | Error _ -> ref_drop r "bad-ip"
+            | Ok frag ->
+                if not (Packet.Addr.Ip.equal frag.packet.dst ip) then
+                  ref_drop r "not-ours"
+                else if frag.more || frag.frag_offset <> 0 then (
+                  match Reassembly.insert r.reasm frag with
+                  | Reassembly.Complete p -> ref_deliver r p
+                  | Reassembly.Pending -> ()
+                  | Reassembly.Rejected reason -> ref_drop r reason)
+                else ref_deliver r frag.packet))
+
+let fix_ip_checksum b =
+  Bytes.set_uint16_be b 24 0;
+  Bytes.set_uint16_be b 24 (Packet.Checksum.compute b 14 20)
+
+let arp_request () =
+  Packet.Frame.build_arp ~src_mac:peer_mac ~dst_mac:Packet.Addr.Mac.broadcast
+    {
+      Packet.Arp.op = Request;
+      sender_mac = peer_mac;
+      sender_ip = peer_ip;
+      target_mac = Packet.Addr.Mac.zero;
+      target_ip = ip;
+    }
+
+(* A datagram to [dst_port] cut into IPv4 fragments of [chunk] bytes. *)
+let fragments ~dst_port ~ident ~chunk payload =
+  let udp =
+    Packet.Udp.build ~src:peer_ip ~dst:ip
+      { Packet.Udp.src_port = 40000; dst_port; payload }
+  in
+  let total = Bytes.length udp in
+  let rec go off =
+    if off >= total then []
+    else
+      let len = min chunk (total - off) in
+      let more = off + len < total in
+      Packet.Eth.build
+        {
+          Packet.Eth.dst = mac;
+          src = peer_mac;
+          ethertype = Ipv4;
+          payload =
+            Packet.Ipv4.build_fragment
+              {
+                Packet.Ipv4.src = peer_ip;
+                dst = ip;
+                proto = Udp;
+                ttl = 64;
+                ident;
+                payload = Bytes.sub udp off len;
+              }
+              ~frag_offset:off ~more;
+        }
+      :: go (off + len)
+  in
+  go 0
+
+(* Well-formed traffic of every kind the stack handles, then one
+   mutation per frame: a byte flip, a truncation, TTL 0, a foreign MAC, a
+   foreign IP, or a length field claiming more than the frame holds (IP
+   total length with the header checksum fixed; UDP length with the
+   checksum off). *)
+let frame_gen =
+  let open QCheck.Gen in
+  let payload = string_size (0 -- 120) in
+  let base =
+    oneof
+      [
+        map (fun p -> [ udp_frame p ]) payload;
+        map (fun p -> [ udp_frame ~dst_port:9 p ]) payload;
+        map
+          (fun p ->
+            let tcp = udp_frame p in
+            Bytes.set_uint8 tcp 23 6;
+            fix_ip_checksum tcp;
+            [ tcp ])
+          payload;
+        return [ arp_request () ];
+        map3
+          (fun p ident chunk ->
+            fragments ~dst_port:5201 ~ident ~chunk:(8 * chunk)
+              (Bytes.of_string p))
+          (string_size (17 -- 120))
+          (1 -- 50) (1 -- 6);
+      ]
+  in
+  let mutate frame =
+    let n = Bytes.length frame in
+    (* Each mutation edits its own copy of the frame. *)
+    let edit f g =
+      map
+        (fun x ->
+          let b = Bytes.copy frame in
+          f b x;
+          b)
+        g
+    in
+    let if_ip f b x = if n >= 42 then f b x in
+    oneof
+      [
+        return frame;
+        edit
+          (fun b (i, x) ->
+            let i = i mod n in
+            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 + x)))
+          (pair nat (0 -- 254));
+        map (fun l -> Bytes.sub frame 0 (l mod (n + 1))) nat;
+        edit
+          (if_ip (fun b () ->
+               Bytes.set_uint8 b 22 0;
+               fix_ip_checksum b))
+          unit;
+        edit
+          (fun b () ->
+            Bytes.blit_string (Packet.Addr.Mac.to_string peer_mac) 0 b 0 6)
+          unit;
+        edit
+          (if_ip (fun b () ->
+               Bytes.set_int32_be b 30 0x0a000009l;
+               fix_ip_checksum b))
+          unit;
+        edit
+          (if_ip (fun b k ->
+               Bytes.set_uint16_be b 16 (Bytes.get_uint16_be b 16 + k);
+               fix_ip_checksum b))
+          (1 -- 16);
+        edit
+          (if_ip (fun b k ->
+               Bytes.set_uint16_be b 38 (Bytes.get_uint16_be b 38 + k);
+               Bytes.set_uint16_be b 40 0))
+          (1 -- 16);
+      ]
+  in
+  map List.concat
+    (list_size (1 -- 12)
+       (base >>= fun frames -> flatten_l (List.map mutate frames)))
+
+let drain sock =
+  let rec go acc =
+    if Udp_socket.readable sock then
+      let payload, src = Udp_socket.recvfrom sock ~max:65536 in
+      go ((Bytes.to_string payload, src) :: acc)
+    else acc
+  in
+  go []
+
+let sorted l = List.sort compare l
+
+let prop_in_place_matches_record_parsers =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"stack: in-place input drops and delivers as the record parsers"
+       ~count:500 (QCheck.make frame_gen)
+       (fun frames ->
+         let _, stack, _ = make_stack () in
+         let sock = Result.get_ok (Stack.bind stack ~port:5201) in
+         let r = reference () in
+         let got = ref [] in
+         List.iter
+           (fun f ->
+             Stack.input stack f;
+             ref_input r f;
+             got := drain sock @ !got)
+           frames;
+         Stack.drop_reasons stack = sorted r.drops && !got = r.got))
+
+let prop_borrowed_ignores_trailing_junk =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"stack: input_borrowed with trailing junk equals input"
+       ~count:300
+       (QCheck.make
+          QCheck.Gen.(
+            pair frame_gen
+              (string_size (return Sgx.Params.umem_frame_size))))
+       (fun (frames, junk) ->
+         let _, bare, _ = make_stack () and _, borrowed, _ = make_stack () in
+         let s1 = Result.get_ok (Stack.bind bare ~port:5201)
+         and s2 = Result.get_ok (Stack.bind borrowed ~port:5201) in
+         List.for_all
+           (fun f ->
+             let len = Bytes.length f in
+             let scratch = Bytes.of_string junk in
+             let scratch =
+               if len > Bytes.length scratch then Bytes.copy f else scratch
+             in
+             Bytes.blit f 0 scratch 0 len;
+             Stack.input bare f;
+             Stack.input_borrowed borrowed scratch ~len;
+             drain s1 = drain s2)
+           frames
+         && Stack.drop_reasons bare = Stack.drop_reasons borrowed))
+
+(* One 1,460-B datagram costs its payload's words (the one copy) and a
+   small constant: no header, datagram or frame copy. *)
+let test_input_borrowed_allocates_one_copy () =
+  let _, stack, _ = make_stack () in
+  let sock = Result.get_ok (Stack.bind stack ~port:5201) in
+  let frame = udp_frame (String.make 1460 'p') in
+  let scratch = Bytes.make Sgx.Params.umem_frame_size '\x00' in
+  Bytes.blit frame 0 scratch 0 (Bytes.length frame);
+  let input () =
+    Stack.input_borrowed stack scratch ~len:(Bytes.length frame)
+  in
+  input ();
+  ignore (drain sock);
+  let before = Gc.minor_words () in
+  input ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  check "delivered" 2 (Stack.rx_delivered stack);
+  let payload_words = 1 + ((1460 + 7) / 8) in
+  if words > payload_words + 32 then
+    Alcotest.failf "input_borrowed allocated %d words (payload %d + 32)" words
+      payload_words
+
 let suite =
   [
     ("delivery: bound socket receives", `Quick, test_delivery_to_bound_socket);
@@ -591,4 +853,8 @@ let suite =
     ("locking: global contends more", `Quick, test_global_lock_contends_more);
     prop_stack_total;
     prop_accounting_consistent;
+    prop_in_place_matches_record_parsers;
+    prop_borrowed_ignores_trailing_junk;
+    ("stack: input_borrowed allocates only the payload copy", `Quick,
+     test_input_borrowed_allocates_one_copy);
   ]

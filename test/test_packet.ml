@@ -405,7 +405,12 @@ let prop_parsers_total =
     (QCheck.make bytes_gen)
     (fun b ->
       (match Eth.parse b with Ok _ | Error _ -> ());
-      (match Eth.parse_sub b ~len:(Bytes.length b) with Ok _ | Error _ -> ());
+      let len = Bytes.length b in
+      (match Eth.check b ~off:0 ~len with Ok _ | Error _ -> ());
+      (match Ipv4.check b ~off:0 ~len with Ok _ | Error _ -> ());
+      (match Udp.check ~src:ip ~dst:ip2 b ~off:0 ~len with
+      | Ok _ | Error _ -> ());
+      (match Frame.check_udp b ~len with Ok _ | Error _ -> ());
       (match Arp.parse b with Ok _ | Error _ -> ());
       (match Ipv4.parse b with Ok _ | Error _ -> ());
       (match Ipv4.parse_fragment b with Ok _ | Error _ -> ());
@@ -517,6 +522,126 @@ let props =
       prop_checksum_carries_fold;
     ]
 
+(* {1 One-copy codec: the in-place checkers and the one-buffer builder
+   against the layered record codecs} *)
+
+let ident_of frame = Bytes.get_uint16_be frame (Eth.header_size + 4)
+
+let prop_build_udp_is_layered_build =
+  QCheck.Test.make
+    ~name:"frame: build_udp is byte-identical to the layered build"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         quad mac_gen ip_gen (1 -- 0xffff)
+           (map Bytes.of_string (string_size (0 -- Udp.max_payload)))))
+    (fun (src_mac, src_ip, src_port, payload) ->
+      let info =
+        { Frame.src_mac; dst_mac = mac; src_ip; dst_ip = ip; src_port;
+          dst_port = 5201 }
+      in
+      let frame = Frame.build_udp info payload in
+      let ident = ident_of frame in
+      let layered =
+        Eth.build
+          {
+            Eth.dst = mac;
+            src = src_mac;
+            ethertype = Ipv4;
+            payload =
+              Ipv4.build
+                {
+                  Ipv4.src = src_ip;
+                  dst = ip;
+                  proto = Udp;
+                  ttl = 64;
+                  ident;
+                  payload =
+                    Udp.build ~src:src_ip ~dst:ip
+                      { Udp.src_port; dst_port = 5201; payload };
+                };
+          }
+      in
+      (* The ident sequence advances by one per frame, as it always has. *)
+      Bytes.equal frame layered
+      && ident_of (Frame.build_udp info payload) = (ident + 1) land 0xffff)
+
+(* The UDP checksum rule as a copy: zero the stored field of a copy,
+   recompute, compare.  [None] accepts. *)
+let copy_zero_recompute ~src ~dst b =
+  let len = Bytes.get_uint16_be b 4 and stored = Bytes.get_uint16_be b 6 in
+  if stored = 0 then None
+  else
+    let copy = Bytes.sub b 0 len in
+    Bytes.set_uint16_be copy 6 0;
+    let init =
+      Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
+        ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len
+    in
+    let c = Checksum.finish (Checksum.ones_sum ~init copy 0 len) in
+    let expected = if c = 0 then 0xffff else c in
+    if expected = stored then None else Some (expected, stored)
+
+(* A payload whose first word is chosen so that the datagram's computed
+   checksum is 0 — transmitted as 0xffff (RFC 768). *)
+let force_computed_zero ~src ~dst ~sp ~dp payload =
+  Bytes.set_uint16_be payload 0 0;
+  let d = Udp.build ~src ~dst { Udp.src_port = sp; dst_port = dp; payload } in
+  Bytes.set_uint16_be d 6 0;
+  let s =
+    Checksum.ones_sum
+      ~init:
+        (Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
+           ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len:(Bytes.length d))
+      d 0 (Bytes.length d)
+  in
+  Bytes.set_uint16_be payload 0 (if s = 0xffff then 0 else 0xffff - s)
+
+let prop_udp_checksum_in_place_matches_copy =
+  QCheck.Test.make
+    ~name:"udp: in-place checksum verdict equals copy-zero-recompute"
+    ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad ip_gen ip_gen (1 -- 0xffff) (1 -- 0xffff))
+           (quad
+              (map Bytes.of_string (string_size (2 -- 300)))
+              (oneofl [ `Zero; `Ffff; `Correct; `Plus1; `Minus1; `Random ])
+              (0 -- 0xffff) (pair bool (0 -- 40)))))
+    (fun ((src, dst, sp, dp), (payload, stored, r, (zero_sum, pad))) ->
+      if zero_sum then force_computed_zero ~src ~dst ~sp ~dp payload;
+      let d =
+        Udp.build ~src ~dst { Udp.src_port = sp; dst_port = dp; payload }
+      in
+      let correct = Bytes.get_uint16_be d 6 in
+      Bytes.set_uint16_be d 6
+        (match stored with
+        | `Zero -> 0
+        | `Ffff -> 0xffff
+        | `Correct -> correct
+        | `Plus1 -> (correct + 1) land 0xffff
+        | `Minus1 -> (correct - 1) land 0xffff
+        | `Random -> r);
+      (* Checked in place inside a larger buffer, junk on both sides. *)
+      let b = Bytes.make (Bytes.length d + (2 * pad)) '\xa5' in
+      Bytes.blit d 0 b pad (Bytes.length d);
+      let verdict = function
+        | Ok _ -> None
+        | Error (Udp.Bad_checksum (e, s)) -> Some (e, s)
+        | Error _ -> Some (-1, -1)
+      in
+      let in_place =
+        verdict (Udp.check ~src ~dst b ~off:pad ~len:(Bytes.length d))
+      in
+      (not zero_sum || correct = 0xffff)
+      && in_place = copy_zero_recompute ~src ~dst d
+      && verdict (Udp.parse ~src ~dst d) = in_place)
+
+let in_place_props =
+  List.map (QCheck_alcotest.to_alcotest ~rand:(Flake.rand ()))
+    [ prop_build_udp_is_layered_build; prop_udp_checksum_in_place_matches_copy ]
+
 let suite =
   [
     ("mac: repr roundtrip", `Quick, test_mac_repr);
@@ -555,4 +680,4 @@ let suite =
     ("frame: port peek", `Quick, test_frame_peek_ports);
     ("frame: dissect rejects non-UDP", `Quick, test_frame_dissect_rejects_arp);
   ]
-  @ props
+  @ props @ in_place_props
