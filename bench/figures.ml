@@ -180,11 +180,13 @@ let table2 () =
         Sim.Engine.stop engine);
     Sim.Engine.run ~until:(Sim.Cycles.of_sec 20.) engine;
     let tot = Rakis.Runtime.totals runtime in
+    let held = Rakis.Runtime.invariant_holds runtime in
     Format.printf "%-22s %8d %8d %8d %8d %10s@."
       (Format.asprintf "%a" Hostos.Malice.pp_attack attack)
       (Hostos.Malice.fired m) tot.ring_check_failures tot.umem_rejects
       tot.cqe_rejects
-      (if Rakis.Runtime.invariant_holds runtime then "HELD" else "BROKEN")
+      (if held then "HELD" else "BROKEN");
+    held
   in
   (* The notif attacks only have a surface on the zero-copy io_uring
      datapath (docs/zerocopy.md), so their rows drive the campaign's
@@ -206,29 +208,34 @@ let table2 () =
       try List.assoc attack o.Tm.Campaign.fired with Not_found -> 0
     in
     let tot = o.Tm.Campaign.totals in
+    let held = o.Tm.Campaign.invariant_ok && o.Tm.Campaign.violations = [] in
     Format.printf "%-22s %8d %8d %8d %8d %10s@."
       (Format.asprintf "%a" Hostos.Malice.pp_attack attack)
       fired tot.ring_check_failures
       (tot.umem_rejects + tot.cqe_rejects - tot.zc_notif_rejects)
       tot.zc_notif_rejects
-      (if o.Tm.Campaign.invariant_ok && o.Tm.Campaign.violations = [] then
+      (if held then
          (* a withheld notif strands frames, never breaks integrity;
             the campaign separately fails on the zc_leaks footprint *)
          if tot.zc_leaks > 0 then "HELD*" else "HELD"
-       else "BROKEN")
+       else "BROKEN");
+    held
   in
-  List.iter
-    (fun attack ->
-      match attack with
-      | Hostos.Malice.Forged_early_notif | Hostos.Malice.Dropped_notif
-      | Hostos.Malice.Double_notif ->
-          run_notif_attack attack
-      | _ -> run_attack attack)
-    Hostos.Malice.all_attacks;
+  let rows =
+    List.map
+      (fun attack ->
+        match attack with
+        | Hostos.Malice.Forged_early_notif | Hostos.Malice.Dropped_notif
+        | Hostos.Malice.Double_notif ->
+            run_notif_attack attack
+        | _ -> run_attack attack)
+      Hostos.Malice.all_attacks
+  in
   Format.printf
     "(notif rows: zero-copy io_uring campaign workload; HELD* = no \
      integrity breach, but withheld notifs stranded frames — the \
-     zc_leaks footprint tm_verify --campaign fails on)@."
+     zc_leaks footprint tm_verify --campaign fails on)@.";
+  List.for_all Fun.id rows
 
 (* {1 Figure 4(a): iperf} *)
 

@@ -13,9 +13,10 @@ val fig2 : unit -> (string * int) list
 val table1 : unit -> unit
 (** Table 1: the ring inventory, checked against a live runtime. *)
 
-val table2 : unit -> unit
+val table2 : unit -> bool
 (** Table 2: drive every attack class against RAKIS and report each
-    check firing with its fail action. *)
+    check firing with its fail action.  [true] iff no row is [BROKEN]
+    ([HELD*] holds). *)
 
 val fig4a : unit -> series
 (** Figure 4(a): iperf3 UDP goodput (Gbps) vs packet size. *)

@@ -46,8 +46,9 @@ let fast_path_verdict t =
       let tot = Rakis.Runtime.totals rt in
       let clauses =
         [
-          ( "enclave exits after boot",
-            Libos.Env.exits t.env - Rakis.Runtime.setup_exits rt );
+          ( "enclave exits after boot other than unaccelerated syscalls",
+            Libos.Env.exits t.env - Rakis.Runtime.setup_exits rt
+            - tot.host_call_exits );
           ("health.slow_calls", tot.slow_calls);
           ("breaker opens", tot.breaker_opens);
           ("ring-check failures", tot.ring_check_failures);

@@ -53,7 +53,9 @@ val fast_path_verdict : t -> fast_path
     (paper §4, Figure 2).  On an honest host — no fault plan (hence no
     wire weather) and no malice installed — a RAKIS run holds the
     verdict iff it shows no enclave exit beyond
-    {!Rakis.Runtime.setup_exits}, no [health.slow_calls], no breaker
+    {!Rakis.Runtime.setup_exits} other than the syscalls RAKIS does not
+    accelerate ([host_call_exits]: socket setup, [open], [close],
+    metadata), no [health.slow_calls], no breaker
     open, no ring-check failure, no UMem reject and no CQE reject, all
     read from {!Rakis.Runtime.totals}. *)
 

@@ -68,7 +68,7 @@ type t = {
   mutable live : int;
   mutable probe_mode : bool;
   mutable sq_full_streak : int;
-  mutable breaker : Health.t option;
+  breaker : Health.t;
   max_pending : int;
   sheds : Obs.Metrics.counter;
   cqe_rejects : Obs.Metrics.counter;
@@ -111,7 +111,7 @@ let layout_objects name (l : Rings.Layout.t) =
 
 let ( let* ) = Result.bind
 
-let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
+let create ?obs ?(name = "uring") ~enclave ~config ~breaker ~fd ~uring ~bounce
     ?zc_arena () =
   if fd < 0 then Error (Bad_fd fd)
   else
@@ -178,7 +178,7 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
         live = 0;
         probe_mode = false;
         sq_full_streak = 0;
-        breaker = None;
+        breaker;
         max_pending = config.Config.max_pending;
         sheds = Obs.Metrics.counter m (name ^ ".sheds");
         cqe_rejects = Obs.Metrics.counter m (name ^ ".cqe_rejects");
@@ -221,8 +221,6 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
       }
 
 let set_kick t f = t.kick <- f
-
-let set_breaker t b = t.breaker <- Some b
 
 let set_probe_mode t on = t.probe_mode <- on
 
@@ -476,7 +474,7 @@ let submit_burst t (sqes : (Abi.Uring_abi.sqe * int) array) =
       t.sq_full_streak <- t.sq_full_streak + 1;
       if t.sq_full_streak >= 3 then begin
         t.sq_full_streak <- 0;
-        match t.breaker with None -> () | Some b -> Health.record_failure b
+        Health.record_failure t.breaker
       end
     end
     else t.sq_full_streak <- 0;
@@ -681,7 +679,7 @@ let no_unstage ~pos:_ ~n:_ = ()
 let admit t =
   if Hashtbl.length t.pending >= t.max_pending then begin
     Obs.Metrics.incr t.sheds;
-    (match t.breaker with None -> () | Some b -> Health.record_shed b);
+    Health.record_shed t.breaker;
     Error Abi.Errno.EAGAIN
   end
   else Ok ()

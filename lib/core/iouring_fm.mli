@@ -53,6 +53,7 @@ val create :
   ?name:string ->
   enclave:Sgx.Enclave.t ->
   config:Config.t ->
+  breaker:Health.t ->
   fd:int ->
   uring:Hostos.Io_uring.t ->
   bounce:Mem.Ptr.t ->
@@ -61,6 +62,12 @@ val create :
   (t, init_error) result
 (** [bounce] is the FM's staging buffer of [config.max_io_size] bytes in
     untrusted memory (allocated by the runtime, validated here).
+
+    [breaker] is the runtime-wide io_uring circuit breaker.  The FM
+    feeds it overload signals only — SQ-full streaks (3 consecutive
+    full-looking publishes) as failures and admission sheds — leaving
+    success/failure verdicts on synchronous ops to {!Syncproxy}, which
+    knows whether an op was probe traffic.
 
     [zc_arena], when given, is the zero-copy pool arena of
     [Config.zc_frames * Config.zc_frame_size] bytes in untrusted memory
@@ -82,13 +89,6 @@ val create :
 val set_kick : t -> (unit -> unit) -> unit
 (** Install the Monitor Module's wakeup hook, invoked after every
     SQE batch is published so the host side gets scanned promptly. *)
-
-val set_breaker : t -> Health.t -> unit
-(** Attach the io_uring circuit breaker.  The FM feeds it overload
-    signals only — SQ-full streaks (3 consecutive full-looking
-    publishes) as failures and admission sheds — leaving
-    success/failure verdicts on synchronous ops to {!Syncproxy}, which
-    knows whether an op was probe traffic. *)
 
 val set_probe_mode : t -> bool -> unit
 (** While on, synchronous ops get no retry budget (one attempt, then

@@ -1,14 +1,3 @@
-type slow_udp = {
-  su_socket : unit -> int;
-  su_bind : int -> port:int -> (unit, Abi.Errno.t) result;
-  su_sendto :
-    int -> Bytes.t -> dst:Packet.Addr.Ip.t * int -> (int, Abi.Errno.t) result;
-  su_recvfrom :
-    int -> max:int -> (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result;
-  su_readable : int -> bool;
-  su_close : int -> unit;
-}
-
 (* One datapath shard (DESIGN.md §10): a slice of the NIC's queues with
    its own XSKs + UMems, its own in-enclave stack instance, its own
    Monitor and its own XSK circuit breaker.  RSS pins each UDP flow to
@@ -51,8 +40,9 @@ type t = {
      creation and buffer registration): the boot floor an honest run
      never rises above. *)
   setup_exits : Obs.Metrics.counter;
-  mutable slow_ops : Syncproxy.slow_ops option;
-  mutable slow_udp : slow_udp option;
+  (* The exit-based host path: unaccelerated syscalls, and the slow
+     paths every breaker fails over to (DESIGN.md §9). *)
+  host : Hostcall.t;
   mutable udp_socks : udp_sock list;
   mutable threads : thread list;
   mutable thread_counter : int;
@@ -114,16 +104,7 @@ let shard_rx_delivered t k = Netstack.Stack.rx_delivered t.shards.(k).sh_stack
 
 let shard_tx_frames t k = t.shards.(k).tx_counter
 
-let set_udp_slow_path t su = t.slow_udp <- Some su
-
-let set_slow_path t ops =
-  t.slow_ops <- Some ops;
-  List.iter (fun th -> Syncproxy.set_slow th.proxy ops) t.threads
-
-(* Failover is only meaningful with a slow path to fail over to: without
-   one installed (bare-Runtime tests, native boots) every routing
-   decision below collapses to the fast-path-only behaviour. *)
-let xsk_failover_ready t = t.slow_udp <> None
+let host_call t f = Hostcall.call t.host f
 
 (* Which shard carries a given flow: the same symmetric RSS hash the NIC
    applies on receive, folded from NIC queues onto shards exactly like
@@ -164,8 +145,7 @@ let xdp_program t shard frame =
   let dst_port = Packet.Frame.peek_udp_dst_port frame in
   if dst_port >= 0 then
     if not (Hashtbl.mem t.owned_ports dst_port) then Hostos.Xdp.Pass
-    else if xsk_failover_ready t && Health.degraded shard.sh_breaker then
-      Hostos.Xdp.Pass
+    else if Health.degraded shard.sh_breaker then Hostos.Xdp.Pass
     else Hostos.Xdp.Redirect
   else
     (* The ethertype is read in place; only an ARP body is copied. *)
@@ -175,8 +155,7 @@ let xdp_program t shard frame =
           Packet.Arp.parse (Bytes.sub frame Packet.Eth.header_size n)
         with
         | Ok arp when Packet.Addr.Ip.equal arp.target_ip t.config.Config.ip ->
-            if xsk_failover_ready t && any_shard_degraded t then
-              Hostos.Xdp.Pass
+            if any_shard_degraded t then Hostos.Xdp.Pass
             else Hostos.Xdp.Redirect
         | Ok _ | Error _ -> Hostos.Xdp.Pass)
     | Ok _ | Error _ -> Hostos.Xdp.Pass
@@ -197,17 +176,17 @@ let host_fallback t sock =
   match sock.host_fd with
   | Some fd -> Some fd
   | None -> (
-      match (t.slow_udp, sock_port sock) with
-      | Some su, Some port -> (
-          let fd = su.su_socket () in
-          match su.su_bind fd ~port with
+      match sock_port sock with
+      | None -> None
+      | Some port -> (
+          let fd = Hostcall.udp_socket t.host in
+          match Hostcall.udp_bind t.host fd ~port with
           | Ok () ->
               sock.host_fd <- Some fd;
               Some fd
           | Error _ ->
-              su.su_close fd;
-              None)
-      | _ -> None)
+              Hostcall.udp_close t.host fd;
+              None))
 
 let find_sock t port =
   List.find_opt (fun sock -> sock_port sock = Some port) t.udp_socks
@@ -217,25 +196,22 @@ let find_sock t port =
    of the owning socket's fallback fd.  Non-UDP frames (ARP) and frames
    of sockets closed meanwhile have nothing to reroute. *)
 let reroute_frame t shard frame =
-  match t.slow_udp with
-  | None -> false
-  | Some su -> (
-      match Packet.Frame.dissect_udp frame with
-      | Error _ -> false
-      | Ok (info, payload) -> (
-          match find_sock t info.Packet.Frame.src_port with
+  match Packet.Frame.dissect_udp frame with
+  | Error _ -> false
+  | Ok (info, payload) -> (
+      match find_sock t info.Packet.Frame.src_port with
+      | None -> false
+      | Some sock -> (
+          match host_fallback t sock with
           | None -> false
-          | Some sock -> (
-              match host_fallback t sock with
-              | None -> false
-              | Some fd -> (
-                  Health.record_failover shard.sh_breaker;
-                  match
-                    su.su_sendto fd payload
-                      ~dst:(info.Packet.Frame.dst_ip, info.Packet.Frame.dst_port)
-                  with
-                  | Ok _ -> true
-                  | Error _ -> false))))
+          | Some fd -> (
+              Health.record_failover shard.sh_breaker;
+              match
+                Hostcall.udp_sendto t.host fd payload
+                  ~dst:(info.Packet.Frame.dst_ip, info.Packet.Frame.dst_port)
+              with
+              | Ok _ -> true
+              | Error _ -> false)))
 
 (* Breaker-open hook for one shard: bind fallback sockets for every
    bound port first (so PASSed inbound traffic has somewhere to land),
@@ -243,13 +219,11 @@ let reroute_frame t shard frame =
    slow path.  Other shards' FMs are untouched — their flows keep the
    fast path. *)
 let on_xsk_open t shard () =
-  if xsk_failover_ready t then begin
-    List.iter (fun sock -> ignore (host_fallback t sock)) t.udp_socks;
-    Array.iter
-      (fun fm ->
-        ignore (Xsk_fm.failover_reroute fm ~resend:(reroute_frame t shard)))
-      shard.sh_fms
-  end
+  List.iter (fun sock -> ignore (host_fallback t sock)) t.udp_socks;
+  Array.iter
+    (fun fm ->
+      ignore (Xsk_fm.failover_reroute fm ~resend:(reroute_frame t shard)))
+    shard.sh_fms
 
 (* Open-breaker handling of a frame the netstack wants transmitted.
    UDP frames are resent through the owning socket's fallback host fd.
@@ -282,14 +256,13 @@ let failover_transmit t shard frame =
 
 (* Transmit hook installed into one shard's UDP/IP stack: spread frames
    over the shard's XSK FMs round-robin — unless the shard's XSK
-   breaker is open with a slow path installed, in which case frames take
-   the exit-based route.  [last_tx_ok] feeds the outcome back to
-   [udp_sendto], which cannot see it through [Netstack.Stack.sendto] — a
-   frame every path refused is surfaced as [EAGAIN], never silently
-   dropped once degraded mode is on.  Half-open probe traffic
-   ([shard.probing]) must reach the FM: its completion (or rekick
-   timeout) is the very signal the breaker is waiting on to fail back
-   (or re-open). *)
+   breaker is not closed, in which case frames take the exit-based
+   route.  [last_tx_ok] feeds the outcome back to [udp_sendto], which
+   cannot see it through [Netstack.Stack.sendto] — a frame every path
+   refused is surfaced as [EAGAIN], never silently dropped.  Half-open
+   probe traffic ([shard.probing]) must reach the FM: its completion
+   (or rekick timeout) is the very signal the breaker is waiting on to
+   fail back (or re-open). *)
 let rec try_fms fms frame ~start i =
   i < Array.length fms
   && (Xsk_fm.transmit fms.((start + i) mod Array.length fms) frame
@@ -297,8 +270,7 @@ let rec try_fms fms frame ~start i =
 
 let stack_transmit t shard frame =
   if
-    xsk_failover_ready t
-    && Health.degraded shard.sh_breaker
+    Health.degraded shard.sh_breaker
     && (not shard.probing)
     && failover_transmit t shard frame
   then shard.last_tx_ok <- true
@@ -362,6 +334,8 @@ let boot kernel ~sgx ?(config = Config.default) () =
         if sharded then Some (Netstack.Arp_cache.create ~obs engine ())
         else None
       in
+      let clock () = Sim.Engine.now engine in
+      let breaker name = Health.of_config ~obs ~name ~clock () in
       (* Build each shard's stack, Monitor and FMs.  With one queue the
          instance names collapse to the historical ones ("stack", "mm",
          "xsk<i>") so single-shard metric names, repro tokens and CI
@@ -379,6 +353,9 @@ let boot kernel ~sgx ?(config = Config.default) () =
             Monitor.create ~obs
               ?name:(if sharded then Some (Printf.sprintf "mm.%d" k) else None)
               ~shard:k engine ~kernel
+          in
+          let shard_breaker =
+            breaker (if sharded then Printf.sprintf "xsk.%d" k else "xsk")
           in
           (* At most one XSK per NIC queue this shard owns (queues
              [q] with [q mod S = k]): an XSK without a queue would never
@@ -402,7 +379,8 @@ let boot kernel ~sgx ?(config = Config.default) () =
                 else "xsk" ^ string_of_int i
               in
               match
-                Xsk_fm.create ~obs ~name ~enclave ~config ~stack ~fd ~xsk ()
+                Xsk_fm.create ~obs ~name ~enclave ~config
+                  ~breaker:shard_breaker ~stack ~fd ~xsk ()
               with
               | Error e ->
                   Error (Format.asprintf "xsk fm: %a" Xsk_fm.pp_init_error e)
@@ -411,14 +389,14 @@ let boot kernel ~sgx ?(config = Config.default) () =
           in
           match make_fms 0 [] with
           | Error e -> Error e
-          | Ok fms -> make_shard_parts (k + 1) ((stack, monitor, fms) :: acc)
+          | Ok fms ->
+              make_shard_parts (k + 1)
+                ((stack, monitor, shard_breaker, fms) :: acc)
         end
       in
       match make_shard_parts 0 [] with
       | Error e -> Error e
       | Ok parts ->
-          let clock () = Sim.Engine.now engine in
-          let breaker name = Health.of_config ~obs ~name ~clock () in
           let overload name =
             if config.Config.overload then
               (* Watermarks fit the narrowest guarded queue: on a
@@ -443,16 +421,14 @@ let boot kernel ~sgx ?(config = Config.default) () =
           let shards =
             Array.of_list
               (List.mapi
-                 (fun k (stack, monitor, fms) ->
+                 (fun k (stack, monitor, sh_breaker, fms) ->
                    {
                      sq = k;
                      sh_stack = stack;
                      sh_fms = Array.of_list (List.map fst fms);
                      sh_xsks = Array.of_list (List.map snd fms);
                      sh_monitor = monitor;
-                     sh_breaker =
-                       breaker
-                         (if sharded then Printf.sprintf "xsk.%d" k else "xsk");
+                     sh_breaker;
                      sh_overload =
                        overload
                          (if sharded then Printf.sprintf "overload.%d" k
@@ -477,8 +453,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
               mm_breaker = breaker "mm";
               uring_overload = overload "overload.uring";
               setup_exits;
-              slow_ops = None;
-              slow_udp = None;
+              host = Hostcall.create ~obs kernel enclave;
               udp_socks = [];
               threads = [];
               thread_counter = 0;
@@ -557,9 +532,6 @@ let boot kernel ~sgx ?(config = Config.default) () =
                   Monitor.watch_xsk shard.sh_monitor xsk;
                   Xsk_fm.start fm)
                 shard.sh_fms;
-              Array.iter
-                (fun fm -> Xsk_fm.set_breaker fm shard.sh_breaker)
-                shard.sh_fms;
               Health.set_on_open shard.sh_breaker (on_xsk_open t shard);
               Monitor.start shard.sh_monitor)
             t.shards;
@@ -600,10 +572,7 @@ let udp_bind t sock port =
           (* Bound while a breaker is already open: create the fallback
              immediately, or PASSed traffic for this port would be
              lost. *)
-          if
-            xsk_failover_ready t
-            && Array.exists (fun sh -> Health.degraded sh.sh_breaker) t.shards
-          then ignore (host_fallback t sock);
+          if any_shard_degraded t then ignore (host_fallback t sock);
           Ok ()
         end
         else
@@ -628,8 +597,7 @@ let ensure_bound t sock =
         else Error Abi.Errno.EINVAL
     | Error e -> Error e
 
-let fast_sendto t shard s payload ~dst =
-  ignore t;
+let fast_sendto shard s payload ~dst =
   shard.last_tx_ok <- true;
   match
     Netstack.Stack.sendto shard.sh_stack
@@ -642,12 +610,9 @@ let fast_sendto t shard s payload ~dst =
   | Error Netstack.Stack.No_transmit -> Error Abi.Errno.ENOTCONN
 
 let slow_sendto t sock payload ~dst =
-  match t.slow_udp with
-  | None -> None
-  | Some su -> (
-      match host_fallback t sock with
-      | None -> None
-      | Some fd -> Some (su.su_sendto fd payload ~dst))
+  Option.map
+    (fun fd -> Hostcall.udp_sendto t.host fd payload ~dst)
+    (host_fallback t sock)
 
 let admit shard cls =
   match shard.sh_overload with
@@ -672,44 +637,27 @@ let udp_sendto t sock payload ~dst =
          silently lost.  Breaker probes classify as [Control] and are
          never shed: the probe's round trip is the signal that ends the
          failover, and starving it would make the overload metastable. *)
-      if not (xsk_failover_ready t) then
-        if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
-        else (
-          match fast_sendto t shard s payload ~dst with
-          | Error Abi.Errno.EAGAIN when shard.sh_overload <> None ->
-              (* Overload mode surfaces TX-path saturation as pushback
-                 instead of PR 4's silent drop — and accounts it, so the
-                 caller's refusal shows up in [shed.data] like any other
-                 backpressure verdict. *)
-              record_tx_shed shard;
-              Error Abi.Errno.EAGAIN
-          | Error Abi.Errno.EAGAIN ->
-              (* PR 4 semantics: the datagram may be silently dropped by
-                 a saturated TX path, as UDP permits. *)
-              Ok (Bytes.length payload)
-          | r -> r)
-      else (
-        match Health.allow shard.sh_breaker with
-        | Health.Slow -> (
-            if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
-            else
-              match slow_sendto t sock payload ~dst with
-              | Some r -> r
-              | None ->
-                  Health.record_shed shard.sh_breaker;
-                  record_tx_shed shard;
-                  Error Abi.Errno.EAGAIN)
-        | Health.Fast | Health.Probe as verdict -> (
-            if
-              not
-                (admit shard
-                   (if verdict = Health.Probe then Overload.Control
-                    else Overload.Data))
-            then Error Abi.Errno.EAGAIN
-            else begin
+      match Health.allow shard.sh_breaker with
+      | Health.Slow -> (
+          if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
+          else
+            match slow_sendto t sock payload ~dst with
+            | Some r -> r
+            | None ->
+                Health.record_shed shard.sh_breaker;
+                record_tx_shed shard;
+                Error Abi.Errno.EAGAIN)
+      | (Health.Fast | Health.Probe) as verdict -> (
+          if
+            not
+              (admit shard
+                 (if verdict = Health.Probe then Overload.Control
+                  else Overload.Data))
+          then Error Abi.Errno.EAGAIN
+          else begin
             if verdict = Health.Probe then shard.probing <- true;
             let sent =
-              match fast_sendto t shard s payload ~dst with
+              match fast_sendto shard s payload ~dst with
               | r ->
                   shard.probing <- false;
                   r
@@ -719,9 +667,9 @@ let udp_sendto t sock payload ~dst =
             in
             match sent with
             | Error Abi.Errno.EAGAIN -> (
-                (* Every FM refused the frame (the exhaustion already
-                   fed the breaker): resend via the slow path, or make
-                   the backpressure explicit. *)
+                (* Every FM refused the frame (the exhaustion already fed
+                   the breaker): resend via the slow path, or make the
+                   backpressure explicit. *)
                 match slow_sendto t sock payload ~dst with
                 | Some r ->
                     Health.record_failover shard.sh_breaker;
@@ -731,7 +679,7 @@ let udp_sendto t sock payload ~dst =
                     record_tx_shed shard;
                     Error Abi.Errno.EAGAIN)
             | r -> r
-            end))
+          end)
 
 (* The shard socket whose head datagram is oldest, or [-1] when none is
    readable: one FIFO across shards.  Always scanning shard 0 first
@@ -755,9 +703,9 @@ let rec recv_any t sock socks ~max =
   let i = oldest_head sock socks in
   if i >= 0 then Ok (Netstack.Udp_socket.recvfrom socks.(i) ~max)
   else
-    match (sock.host_fd, t.slow_udp) with
-    | Some fd, Some su when su.su_readable fd -> (
-        match su.su_recvfrom fd ~max with
+    match sock.host_fd with
+    | Some fd when Hostcall.udp_readable t.host fd -> (
+        match Hostcall.udp_recvfrom t.host fd ~max with
         | Ok (_, (src_ip, src_port)) as r ->
             (* Attribute the failover to the shard that owns the flow
                (RSS), not blanket shard 0 — per-shard counters are the
@@ -771,57 +719,49 @@ let rec recv_any t sock socks ~max =
             r
         | Error _ as r -> r)
     | _ ->
-        (* Park on enclave-socket activity.  With failover configured,
-           add a quantum timer: host-socket arrivals broadcast a
-           different condition, so the timer bounds how stale the
-           host-side check can get. *)
-        if xsk_failover_ready t then begin
-          let wake = Netstack.Udp_socket.activity socks.(0) in
-          let fired = ref false in
-          Sim.Engine.after
-            (Hostos.Kernel.engine t.kernel)
-            Sgx.Params.xsk_rekick_period
-            (fun () ->
-              if not !fired then begin
-                fired := true;
-                Sim.Condition.broadcast wake
-              end);
-          Sim.Condition.wait_set sock.activity_set;
-          fired := true
-        end
-        else Sim.Condition.wait_set sock.activity_set;
+        (* Park on enclave-socket activity, plus a quantum timer:
+           host-socket arrivals broadcast a different condition, so the
+           timer bounds how stale the host-side check can get. *)
+        let wake = Netstack.Udp_socket.activity socks.(0) in
+        let fired = ref false in
+        Sim.Engine.after
+          (Hostos.Kernel.engine t.kernel)
+          Sgx.Params.xsk_rekick_period
+          (fun () ->
+            if not !fired then begin
+              fired := true;
+              Sim.Condition.broadcast wake
+            end);
+        Sim.Condition.wait_set sock.activity_set;
+        fired := true;
         recv_any t sock socks ~max
 
-(* Degraded receive: once failover is configured, datagrams may sit in
-   either the enclave netstack (XDP Redirect epochs) or the host
-   fallback socket (XDP Pass epochs), so poll both.  [sock.host_fd] is
-   re-read every iteration — a thread that blocked here while the
-   breaker was still closed must start draining a fallback that
-   [on_xsk_open] binds only later.  The host-side check runs whenever
-   the fallback exists, not only while the breaker is open: packets
-   PASSed just before failback must still be drained afterwards.
+(* Datagrams may sit in either the enclave netstack (XDP Redirect
+   epochs) or the host fallback socket (XDP Pass epochs), so poll both.
+   [sock.host_fd] is re-read every iteration — a thread that blocked
+   here while the breaker was still closed must start draining a
+   fallback that [on_xsk_open] binds only later.  The host-side check
+   runs whenever the fallback exists, not only while the breaker is
+   open: packets PASSed just before failback must still be drained
+   afterwards.
 
-   With several shards the same loop additionally multiplexes the
-   per-shard sockets: a flow's datagrams surface on exactly one of
-   them (RSS), but one recvfrom serves flows from every shard. *)
+   With several shards the same loop also multiplexes the per-shard
+   sockets: a flow's datagrams surface on exactly one of them (RSS),
+   but one recvfrom serves flows from every shard. *)
 let udp_recvfrom t sock ~max =
   match sock.bound with
   | [||] -> Error Abi.Errno.EINVAL
-  | socks when Array.length socks = 1 && not (xsk_failover_ready t) ->
-      Ok (Netstack.Udp_socket.recvfrom socks.(0) ~max)
   | socks -> recv_any t sock socks ~max
 
 let udp_readable t sock =
   Array.exists Netstack.Udp_socket.readable sock.bound
   ||
-  match (sock.host_fd, t.slow_udp) with
-  | Some fd, Some su -> su.su_readable fd
-  | _ -> false
+  match sock.host_fd with
+  | Some fd -> Hostcall.udp_readable t.host fd
+  | None -> false
 
 let udp_close t sock =
-  (match (sock.host_fd, t.slow_udp) with
-  | Some fd, Some su -> su.su_close fd
-  | _ -> ());
+  Option.iter (Hostcall.udp_close t.host) sock.host_fd;
   sock.host_fd <- None;
   t.udp_socks <- List.filter (fun o -> o != sock) t.udp_socks;
   if Array.length sock.bound > 0 then begin
@@ -883,8 +823,8 @@ let new_thread t =
           (Format.asprintf "io_uring fm: %a" Iouring_fm.pp_init_error)
           (Iouring_fm.create ~obs:t.obs
              ~name:("uring" ^ string_of_int id)
-             ~enclave:t.enclave ~config:t.config ~fd ~uring ~bounce ?zc_arena
-             ()))
+             ~enclave:t.enclave ~config:t.config ~breaker:t.uring_breaker ~fd
+             ~uring ~bounce ?zc_arena ()))
   with
   | Error e -> Error e
   | Ok fm ->
@@ -900,12 +840,13 @@ let new_thread t =
              Monitor.kick shard.sh_monitor);
          Monitor.watch_uring shard.sh_monitor uring
        end);
-      let proxy = Syncproxy.create ?slow:t.slow_ops fm in
-      Syncproxy.set_breaker proxy t.uring_breaker;
-      (match t.uring_overload with
-      | Some ov -> Syncproxy.set_overload proxy ov
-      | None -> ());
-      let thread = { proxy } in
+      let thread =
+        {
+          proxy =
+            Syncproxy.create ~breaker:t.uring_breaker ~slow:t.host
+              ?overload:t.uring_overload fm;
+        }
+      in
       t.threads <- thread :: t.threads;
       Ok thread
 
@@ -935,6 +876,7 @@ type totals = {
   breaker_closes : int;
   shard_opens : int list;
   slow_calls : int;
+  host_call_exits : int;
 }
 
 let totals t =
@@ -1003,6 +945,7 @@ let totals t =
     breaker_closes = sum Health.closes breakers;
     shard_opens = List.map Health.opens shard_breakers;
     slow_calls = Obs.Metrics.get_counter (Obs.metrics t.obs) "health.slow_calls";
+    host_call_exits = Hostcall.exits t.host;
   }
 
 let total_ring_check_failures t = (totals t).ring_check_failures

@@ -13,7 +13,11 @@
       XSK of the shard serving that queue; PASS everything else to the
       host stack;
     + start the per-XSK FM threads and each shard's Monitor Module
-      thread outside the enclave.
+      thread outside the enclave;
+    + wire degraded mode (DESIGN.md §9): every XSK FM, every thread's
+      io_uring FM and SyncProxy gets its circuit breaker at creation,
+      and every breaker fails over to the one exit-based {!Hostcall}
+      path built here.
 
     {b Sharding (DESIGN.md §10).}  With [config.num_queues = S > 1] the
     datapath is S independent shards, each owning a slice of the NIC's
@@ -46,26 +50,6 @@ type udp_sock
 
 type thread
 (** A user thread's io_uring context: its FM plus its SyncProxy. *)
-
-type slow_udp = {
-  su_socket : unit -> int;
-  su_bind : int -> port:int -> (unit, Abi.Errno.t) result;
-  su_sendto :
-    int -> Bytes.t -> dst:Packet.Addr.Ip.t * int -> (int, Abi.Errno.t) result;
-  su_recvfrom :
-    int -> max:int -> (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result;
-  su_readable : int -> bool;
-  su_close : int -> unit;
-}
-(** The exit-based UDP slow path: plain host-kernel sockets driven via
-    OCALLs, implemented by {!Libos.Hostapi.slow_udp}.  Used only while
-    an XSK breaker is open (DESIGN.md §9): when a shard's breaker trips,
-    each bound fast-path socket gets a same-port fallback host socket,
-    that shard's XDP queues switch from [Redirect] to [Pass] for owned
-    ports (so inbound datagrams land on the fallback socket), and the
-    shard's sends go out via [su_sendto] — paying the modeled SGX exit +
-    copy costs.  The host stack is not sharded: one fallback socket per
-    port serves every shard. *)
 
 val boot :
   Hostos.Kernel.t -> sgx:bool -> ?config:Config.t -> unit -> (t, string) result
@@ -136,16 +120,24 @@ val shard_tx_frames : t -> int -> int
 val shard_stack : t -> int -> Netstack.Stack.t
 (** Shard [k]'s in-enclave UDP/IP stack instance. *)
 
-(** {1 Degraded mode (DESIGN.md §9)} *)
+(** {1 Degraded mode (DESIGN.md §9)}
 
-val set_slow_path : t -> Syncproxy.slow_ops -> unit
-(** Install the exit-based io_uring slow path; applied to every existing
-    and future {!new_thread} SyncProxy. *)
+    Each breaker below routes its primitive's traffic onto the runtime's
+    exit-based {!Hostcall} path while it is not [Closed].  When a
+    shard's XSK breaker trips, each bound fast-path socket gets a
+    same-port fallback host socket, that shard's XDP queues switch from
+    [Redirect] to [Pass] for owned ports (so inbound datagrams land on
+    the fallback socket), the frames still committed to its xTX rings
+    are resent through the fallback, and the shard's sends go out
+    through it too — paying the modeled SGX exit + copy costs.  The
+    host stack is not sharded: one fallback socket per port serves every
+    shard.  The io_uring breaker fails SyncProxy ops over the same way
+    ({!Syncproxy}). *)
 
-val set_udp_slow_path : t -> slow_udp -> unit
-(** Install the exit-based UDP slow path.  Until this is called the XSK
-    breakers only observe (routing never changes): failover needs a slow
-    path to fail over {e to}. *)
+val host_call : t -> (Hostos.Kernel.t -> 'a) -> 'a
+(** {!Hostcall.call}: one syscall RAKIS does not accelerate, on
+    Gramine's path (LibOS dispatch plus one enclave exit), counted in
+    [host_call_exits] of {!totals}. *)
 
 val xsk_breaker : t -> Health.t
 (** Shard 0's XSK circuit breaker — the runtime-wide breaker when
@@ -182,11 +174,11 @@ val udp_sendto :
   (int, Abi.Errno.t) result
 (** Transmit one datagram through the in-enclave stack and the XSK TX
     path of the shard the flow's RSS hash selects — no enclave exit; the
-    shard's Monitor Module kicks the host side.  With a slow path
-    installed and that shard's XSK breaker not [Closed], the datagram is
-    rerouted through the exit-based host socket instead; [EAGAIN] only
-    when both paths refuse (backpressure — the datagram was never
-    accepted, so nothing is silently lost). *)
+    shard's Monitor Module kicks the host side.  While that shard's XSK
+    breaker is not [Closed], or when every FM refuses the frame, the
+    datagram goes through the exit-based fallback socket instead;
+    [EAGAIN] only when both paths refuse (backpressure — the datagram
+    was never accepted, so nothing is silently lost). *)
 
 val udp_recvfrom :
   t ->
@@ -194,7 +186,7 @@ val udp_recvfrom :
   max:int ->
   (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result
 (** Dequeue one received datagram (payload truncated to [max]) plus the
-    sender's address; [EAGAIN] when every source is empty.  All shard
+    sender's address, blocking while every source is empty.  All shard
     sockets are polled (a flow's datagrams surface on exactly one, per
     RSS); while a fallback host socket exists (breaker open, or still
     draining just after failback) it is polled too, via the exit-based
@@ -267,6 +259,8 @@ type totals = {
       (** per-shard XSK breaker trips in shard order: the containment
           witness, a fault pinned to shard [k] leaves every other entry 0 *)
   slow_calls : int;  (** host syscalls the exit-based slow path performed *)
+  host_call_exits : int;
+      (** enclave exits taken by unaccelerated syscalls ({!host_call}) *)
 }
 (** What a finished run did, summed over every shard, thread, overload
     controller and breaker.  The overload fields are [0] unless

@@ -3,37 +3,12 @@
     FM and blocking until completion.  RAKIS uses it for exactly five
     syscalls: TCP [send]/[recv], [read], [write] and [poll].
 
-    Since DESIGN.md §9 the proxy is also the io_uring failover point:
-    when a {!Health} breaker and a {!slow_ops} table are attached, every
-    op is routed through the breaker — [Fast] ops take the FM (and a
-    terminal [ETIMEDOUT] fails over to the slow path instead of
-    surfacing), [Probe] ops test the FM with the retry budget disabled,
-    and [Slow] ops go straight to the exit-based LibOS path.  With no
-    breaker or no slow path attached, behaviour is exactly the PR 4
-    passthrough. *)
-
-type slow_ops = {
-  read :
-    fd:int ->
-    off:int ->
-    buf:Bytes.t ->
-    pos:int ->
-    len:int ->
-    (int, Abi.Errno.t) result;
-  write :
-    fd:int ->
-    off:int ->
-    buf:Bytes.t ->
-    pos:int ->
-    len:int ->
-    (int, Abi.Errno.t) result;
-  send : fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result;
-  recv : fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result;
-  poll : fd:int -> events:int -> (int, Abi.Errno.t) result;
-}
-(** The exit-based slow path: same five signatures as the fast ops,
-    implemented by {!Libos.Hostapi.slow_ops} as plain host syscalls
-    paying the modeled SGX exit + copy costs. *)
+    The proxy is also the io_uring failover point (DESIGN.md §9): every
+    op is routed through the runtime-wide io_uring {!Health} breaker —
+    [Fast] ops take the FM (and a terminal [ETIMEDOUT] fails over to
+    the exit-based {!Hostcall} slow path instead of surfacing), [Probe]
+    ops test the FM with the retry budget disabled, and [Slow] ops go
+    straight to the slow path. *)
 
 type t
 (** A SyncProxy bound to one thread's io_uring FM.  Every fast call
@@ -42,29 +17,22 @@ type t
     one ["syncproxy"] trace span and one [<name>.sync_wait_cycles]
     histogram observation on the FM's Obs registry. *)
 
-val create : ?slow:slow_ops -> ?breaker:Health.t -> Iouring_fm.t -> t
-(** Wrap an io_uring FM.  [slow] and [breaker] (usually attached later
-    via {!set_slow} / {!set_breaker}) enable degraded-mode routing. *)
+val create :
+  breaker:Health.t ->
+  slow:Hostcall.t ->
+  ?overload:Overload.t ->
+  Iouring_fm.t ->
+  t
+(** Wrap an io_uring FM whose ops fail over through [breaker] to [slow].
+    With [overload] (the runtime-wide io_uring controller, DESIGN.md
+    §15) data-class ops first pass {!Overload.admit} — refusals surface
+    as accounted [EAGAIN] — while breaker probes classify as [Control]
+    and are never shed.  Admitted fast ops feed their wall time and the
+    FM's in-flight count back as the controller's sojourn/depth
+    samples. *)
 
 val fm : t -> Iouring_fm.t
 (** The underlying io_uring FastPath Module. *)
-
-val set_slow : t -> slow_ops -> unit
-
-val set_breaker : t -> Health.t -> unit
-(** Attach the shared io_uring breaker; also installs it on the FM for
-    the overload feeds ({!Iouring_fm.set_breaker}). *)
-
-val set_overload : t -> Overload.t -> unit
-(** Attach the runtime-wide io_uring overload controller (DESIGN.md
-    §15).  Data-class ops then pass {!Overload.admit} before running —
-    refusals surface as accounted [EAGAIN] — while breaker probes
-    classify as [Control] and are never shed.  Admitted fast ops feed
-    their wall time and the FM's in-flight count back as the
-    controller's sojourn/depth samples. *)
-
-val degraded : t -> bool
-(** The attached breaker (if any) is not [Closed]. *)
 
 val read :
   t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->

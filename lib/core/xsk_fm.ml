@@ -66,7 +66,7 @@ type t = {
      accepted datagrams, DESIGN.md §9). *)
   tx_inflight : int array;
   mutable tx_inflight_n : int;
-  mutable breaker : Health.t option;
+  breaker : Health.t;
   (* Overload backpressure (DESIGN.md §15): while the hook returns true
      the refill loop keeps only [fill_floor] frames promised to the
      kernel, so a traffic flood is dropped by the host NIC at the edge
@@ -190,7 +190,7 @@ let tx_slot t ~slot_off =
 
 let ( let* ) = Result.bind
 
-let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
+let create ?obs ?(name = "xsk") ~enclave ~config ~breaker ~stack ~fd ~xsk () =
   if fd < 0 then Error (Bad_fd fd)
   else
     let* fill = certify_layout config "xFill" (Hostos.Xdp.fill_layout xsk) in
@@ -276,7 +276,7 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         tx_inflight =
           Array.make (config.Config.umem_size / config.Config.frame_size) (-1);
         tx_inflight_n = 0;
-        breaker = None;
+        breaker;
         throttle = (fun () -> false);
         fill_floor = max 1 (config.Config.ring_size / 16);
         fill_cap = None;
@@ -306,8 +306,6 @@ let set_renudge t f = t.renudge <- f
 
 let set_republish t f = t.republish <- f
 
-let set_breaker t b = t.breaker <- Some b
-
 let set_throttle t f = t.throttle <- f
 
 let set_fill_cap t cap = t.fill_cap <- Some (max t.fill_floor cap)
@@ -318,11 +316,9 @@ let set_pressure t f = t.pressure <- f
 
 let fill_throttles t = Obs.Metrics.value t.fill_throttled
 
-let breaker_failure t =
-  match t.breaker with None -> () | Some b -> Health.record_failure b
+let breaker_failure t = Health.record_failure t.breaker
 
-let breaker_success t =
-  match t.breaker with None -> () | Some b -> Health.record_success b
+let breaker_success t = Health.record_success t.breaker
 
 let fill_ring t = t.fill
 
@@ -537,13 +533,9 @@ let check_rx_starvation t engine =
   let now = Sim.Engine.now engine in
   if t.starve_armed && Int64.to_int now >= t.starve_deadline then
     t.starve_armed <- false;
-  let breaker_open =
-    match t.breaker with
-    | Some b -> Health.state b = Health.Open
-    | None -> false
-  in
   if
-    breaker_open || t.rx_progress
+    Health.state t.breaker = Health.Open
+    || t.rx_progress
     || (not t.refill_blocked)
     || stranded_rx t <= 0
   then begin

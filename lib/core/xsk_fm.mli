@@ -25,6 +25,7 @@ val create :
   ?name:string ->
   enclave:Sgx.Enclave.t ->
   config:Config.t ->
+  breaker:Health.t ->
   stack:Netstack.Stack.t ->
   fd:int ->
   xsk:Hostos.Xdp.xsk ->
@@ -32,6 +33,14 @@ val create :
   (t, init_error) result
 (** [xsk] carries the host-returned pointers being validated; the FM
     never trusts any other part of it.
+
+    [breaker] is the shard's XSK circuit breaker.  The FM feeds it
+    terminal signals: forced TX re-kicks (a rekick period with
+    outstanding TX and no completions), UMem exhaustion that outlasts
+    the backoff budget, xTX ring-full drops and reinits that leave a
+    ring quarantined are failures; reaped completions are successes
+    (clearing the streak, or — in half-open — settling the probe
+    frame's verdict).
 
     [obs] (with [name], default ["xsk"] — the runtime passes ["xsk0"],
     ["xsk1"], ...) registers this FM's packet/drop counters, its rx
@@ -92,14 +101,6 @@ val set_note_backlog : t -> (int -> unit) -> unit
     runtime points it at {!Overload.note_depth} with this XSK's source
     index).  A flooded ring then saturates the shard even while the
     socket queue behind it stays shallow. *)
-
-val set_breaker : t -> Health.t -> unit
-(** Attach the XSK circuit breaker.  The FM feeds it terminal signals:
-    forced TX re-kicks (a rekick period with outstanding TX and no
-    completions), UMem exhaustion that outlasts the backoff budget,
-    xTX ring-full drops and reinits that leave a ring quarantined are
-    failures; reaped completions are successes (clearing the streak,
-    or — in half-open — settling the probe frame's verdict). *)
 
 val start : t -> unit
 (** Spawn the FM's dedicated receive thread (paper §4.1, QoS): it moves

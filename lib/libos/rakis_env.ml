@@ -18,13 +18,6 @@ let alloc_fd env entry =
 
 let find env fd = Hashtbl.find_opt env.fds fd
 
-(* The regular LibOS path for syscalls RAKIS does not accelerate:
-   in-enclave dispatch plus one enclave exit. *)
-let host_call env f =
-  Sgx.Enclave.charge (R.enclave env.runtime) Sgx.Params.libos_dispatch_cycles;
-  Sgx.Enclave.ocall (R.enclave env.runtime);
-  f env.kernel
-
 let ev_mask evs =
   List.fold_left
     (fun acc ev ->
@@ -164,10 +157,6 @@ let poll env proxy specs ~timeout =
 
 let rec api env proxy : Api.t =
   let engine = K.engine env.kernel in
-  let errno_of_send = function
-    | Ok n -> Ok n
-    | Error e -> Error e
-  in
   {
     Api.name =
       (if Sgx.Enclave.sgx_enabled (R.enclave env.runtime) then "rakis-sgx"
@@ -176,26 +165,27 @@ let rec api env proxy : Api.t =
     udp_socket = (fun () -> alloc_fd env (Rudp (R.udp_socket env.runtime)));
     tcp_socket =
       (fun () ->
-        let kfd = host_call env K.tcp_socket in
+        let kfd = R.host_call env.runtime K.tcp_socket in
         alloc_fd env (Rhost { kfd; pos = 0 }));
     bind =
       (fun fd (ip, port) ->
         match find env fd with
         | Some (Rudp sock) -> R.udp_bind env.runtime sock port
         | Some (Rhost { kfd; _ }) ->
-            host_call env (fun k -> K.bind k kfd ip port)
+            R.host_call env.runtime (fun k -> K.bind k kfd ip port)
         | None -> Error Abi.Errno.EBADF);
     listen =
       (fun fd ->
         match find env fd with
-        | Some (Rhost { kfd; _ }) -> host_call env (fun k -> K.listen k kfd)
+        | Some (Rhost { kfd; _ }) ->
+            R.host_call env.runtime (fun k -> K.listen k kfd)
         | Some (Rudp _) -> Error Abi.Errno.EINVAL
         | None -> Error Abi.Errno.EBADF);
     accept =
       (fun fd ->
         match find env fd with
         | Some (Rhost { kfd; _ }) -> (
-            match host_call env (fun k -> K.accept k kfd) with
+            match R.host_call env.runtime (fun k -> K.accept k kfd) with
             | Ok kfd' -> Ok (alloc_fd env (Rhost { kfd = kfd'; pos = 0 }))
             | Error e -> Error e)
         | Some (Rudp _) -> Error Abi.Errno.EINVAL
@@ -204,14 +194,13 @@ let rec api env proxy : Api.t =
       (fun fd (ip, port) ->
         match find env fd with
         | Some (Rhost { kfd; _ }) ->
-            host_call env (fun k -> K.connect k kfd ip port)
+            R.host_call env.runtime (fun k -> K.connect k kfd ip port)
         | Some (Rudp _) -> Error Abi.Errno.EINVAL
         | None -> Error Abi.Errno.EBADF);
     sendto =
       (fun fd buf dst ->
         match find env fd with
-        | Some (Rudp sock) ->
-            errno_of_send (R.udp_sendto env.runtime sock buf ~dst)
+        | Some (Rudp sock) -> R.udp_sendto env.runtime sock buf ~dst
         | Some (Rhost _) -> Error Abi.Errno.EINVAL
         | None -> Error Abi.Errno.EBADF);
     recvfrom =
@@ -236,7 +225,9 @@ let rec api env proxy : Api.t =
         | None -> Error Abi.Errno.EBADF);
     openf =
       (fun ~create ~trunc path ->
-        match host_call env (fun k -> K.openf k ~create ~trunc path) with
+        match
+          R.host_call env.runtime (fun k -> K.openf k ~create ~trunc path)
+        with
         | Ok kfd -> Ok (alloc_fd env (Rhost { kfd; pos = 0 }))
         | Error e -> Error e);
     read =
@@ -279,7 +270,8 @@ let rec api env proxy : Api.t =
     fsize =
       (fun fd ->
         match find env fd with
-        | Some (Rhost { kfd; _ }) -> host_call env (fun k -> K.fsize k kfd)
+        | Some (Rhost { kfd; _ }) ->
+            R.host_call env.runtime (fun k -> K.fsize k kfd)
         | Some (Rudp _) -> Error Abi.Errno.EINVAL
         | None -> Error Abi.Errno.EBADF);
     close =
@@ -294,7 +286,7 @@ let rec api env proxy : Api.t =
                the FM's in-flight accounting doesn't leak (§9). *)
             Rakis.Syncproxy.forget_fd proxy ~fd:kfd;
             Hashtbl.remove env.fds fd;
-            host_call env (fun k -> K.close k kfd)
+            R.host_call env.runtime (fun k -> K.close k kfd)
         | None -> Error Abi.Errno.EBADF);
     poll = (fun specs ~timeout -> poll env proxy specs ~timeout);
     spawn =
@@ -311,13 +303,6 @@ let create kernel ~sgx ?config () =
   | Error e -> Error e
   | Ok runtime -> (
       let env = { runtime; kernel; fds = Hashtbl.create 32; next_fd = 1000 } in
-      (* Degraded-mode wiring (DESIGN.md §9): give the runtime the
-         exit-based slow paths the circuit breakers fail over to.
-         Installed before the first thread so its SyncProxy is born
-         with the fallback attached. *)
-      let enclave = R.enclave runtime and obs = R.obs runtime in
-      R.set_slow_path runtime (Hostapi.slow_ops ~obs kernel enclave);
-      R.set_udp_slow_path runtime (Hostapi.slow_udp ~obs kernel enclave);
       match R.new_thread runtime with
       | Error e -> Error e
       | Ok thread -> Ok (api env (R.syncproxy thread), runtime))

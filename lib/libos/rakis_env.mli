@@ -8,9 +8,10 @@
     - TCP [send]/[recv], file [read]/[write] and [poll] go through the
       SyncProxy to the per-thread io_uring FM — no enclave exits;
     - everything else (socket/bind/listen/accept/connect/open/close and
-      metadata) takes the regular Gramine path: LibOS dispatch plus one
-      enclave exit, exactly as the paper's RAKIS does for syscalls it
-      does not accelerate;
+      metadata) takes the regular Gramine path
+      ({!Rakis.Runtime.host_call}): LibOS dispatch plus one enclave
+      exit, exactly as the paper's RAKIS does for syscalls it does not
+      accelerate;
     - [poll] over a mixed fd set busy-waits across both providers, the
       coordination the paper describes for its API submodule. *)
 

@@ -35,18 +35,25 @@ let with_harness kind ?rakis_config ?nic_queues f =
   r
 
 (* On an honest host a RAKIS run never leaves the fast path
-   ({!Apps.Harness.fast_path_verdict}); other environments have none. *)
-let assert_fast_path h =
+   ({!Apps.Harness.fast_path_verdict}); other environments have none.
+   Unless [host_calls] (file and TCP workloads, whose open, connect and
+   close RAKIS does not accelerate), the run takes no host-call exit
+   either: UDP workloads make no such syscall. *)
+let assert_fast_path ?(host_calls = false) h =
   match
     (Libos.Env.runtime h.Apps.Harness.env, Apps.Harness.fast_path_verdict h)
   with
-  | None, _ | Some _, Apps.Harness.Held -> ()
+  | None, _ -> ()
+  | Some rt, Apps.Harness.Held ->
+      if not host_calls then
+        check "unaccelerated-syscall exits" 0
+          (Rakis.Runtime.totals rt).host_call_exits
   | Some _, v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v
 
-let with_fast_path kind f =
-  with_harness kind (fun h ->
+let with_fast_path ?host_calls ?rakis_config kind f =
+  with_harness kind ?rakis_config (fun h ->
       let r = f h in
-      assert_fast_path h;
+      assert_fast_path ?host_calls h;
       r)
 
 (* {1 helloworld} *)
@@ -177,7 +184,7 @@ let test_redis_all_commands () =
   List.iter
     (fun command ->
       let r =
-        with_harness Libos.Env.Rakis_sgx (fun h ->
+        with_fast_path ~host_calls:true Libos.Env.Rakis_sgx (fun h ->
             Apps.Redis.run ~connections:10 h ~command ~ops:300)
       in
       check_bool
@@ -188,7 +195,7 @@ let test_redis_all_commands () =
 
 let test_redis_rakis_vs_gramine () =
   let run kind =
-    (with_harness kind (fun h ->
+    (with_fast_path ~host_calls:true kind (fun h ->
          Apps.Redis.run ~connections:20 h ~command:Apps.Redis.Get ~ops:1000))
       .Apps.Redis.kops_per_sec
   in
@@ -210,14 +217,14 @@ let test_fstime_write_then_read () =
   in
   check "bytes read" (4096 * 100) r.bytes;
   let c =
-    with_harness Libos.Env.Rakis_sgx (fun h ->
+    with_fast_path ~host_calls:true Libos.Env.Rakis_sgx (fun h ->
         Apps.Fstime.run ~mode:Apps.Fstime.Copy h ~block_size:4096 ~blocks:100)
   in
   check "bytes copied" (4096 * 100) c.bytes
 
 let test_fstime_rakis_beats_gramine_sgx () =
   let run kind =
-    (with_harness kind (fun h ->
+    (with_fast_path ~host_calls:true kind (fun h ->
          Apps.Fstime.run h ~block_size:4096 ~blocks:500))
       .Apps.Fstime.mb_per_sec
   in
@@ -229,13 +236,32 @@ let test_fstime_rakis_sgx_overhead_vs_direct () =
   (* Figure 5(a): at large blocks RAKIS-SGX pays boundary copies that
      RAKIS-Direct does not. *)
   let run kind =
-    (with_harness kind (fun h ->
+    (with_fast_path ~host_calls:true kind (fun h ->
          Apps.Fstime.run h ~block_size:65536 ~blocks:200))
       .Apps.Fstime.mb_per_sec
   in
   let direct = run Libos.Env.Rakis_direct in
   let sgx = run Libos.Env.Rakis_sgx in
   check_bool "direct faster at large blocks" true (direct > sgx)
+
+(* {1 iperf_tcp} *)
+
+(* The enclave as TCP sender, on the copy path and on SEND_ZC: every
+   byte arrives, and the connection's setup and teardown are its only
+   exits past boot. *)
+let test_iperf_tcp_holds_fast_path () =
+  List.iter
+    (fun zerocopy ->
+      let bytes = 1024 * 1024 in
+      let r =
+        with_fast_path ~host_calls:true
+          ~rakis_config:{ Rakis.Config.default with zerocopy }
+          Libos.Env.Rakis_sgx
+          (fun h -> Apps.Iperf_tcp.run h ~bytes)
+      in
+      check (Printf.sprintf "zerocopy=%b: every byte received" zerocopy) bytes
+        r.Apps.Iperf_tcp.bytes_received)
+    [ false; true ]
 
 (* {1 mcrypt} *)
 
@@ -252,7 +278,7 @@ let test_mcrypt_same_ciphertext_everywhere () =
      environments: the environments change costs, never data. *)
   let size = 1024 * 1024 in
   let run kind =
-    (with_harness kind (fun h ->
+    (with_fast_path ~host_calls:true kind (fun h ->
          Apps.Mcrypt.run h ~file_size:size ~block_size:65536))
       .Apps.Mcrypt.checksum
   in
@@ -265,7 +291,7 @@ let test_mcrypt_compute_bound () =
      compute-dominated workload. *)
   let size = 2 * 1024 * 1024 in
   let run kind =
-    (with_harness kind (fun h ->
+    (with_fast_path ~host_calls:true kind (fun h ->
          Apps.Mcrypt.run h ~file_size:size ~block_size:65536))
       .Apps.Mcrypt.seconds
   in
@@ -348,4 +374,6 @@ let suite =
     ("accounting: socket close counts queued datagrams", `Quick,
      test_close_drops_accounted);
     ("iperf: 10k datagrams end by FIN", `Quick, test_iperf_ends_by_fin);
+    ("iperf_tcp: copy and zero-copy hold the fast path", `Quick,
+     test_iperf_tcp_holds_fast_path);
   ]

@@ -433,7 +433,7 @@ let test_campaign_failover_repro_roundtrip () =
       | Error e -> Alcotest.failf "parse_repro: %s" e)
     [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ]
 
-(* {1 Bare-runtime regressions (no slow path attached)} *)
+(* {1 Bare-runtime regressions} *)
 
 type fixture = {
   engine : Sim.Engine.t;
@@ -472,10 +472,10 @@ let install_bare_faults fx plan =
   Hostos.Kernel.set_faults fx.kernel (Some f);
   f
 
-(* The ETIMEDOUT accounting regression: with no slow path attached, a
-   synchronous op whose every attempt bounces surfaces ETIMEDOUT — and
-   must settle its in-flight record on the way out.  The leak this
-   pins: [inflight] stuck > 0 after the error, wedging admission
+(* The ETIMEDOUT accounting regression: a synchronous FM op whose every
+   attempt bounces surfaces ETIMEDOUT (the verdict SyncProxy fails over
+   on) — and must settle its in-flight record on the way out.  The leak
+   this pins: [inflight] stuck > 0 after the error, wedging admission
    control shut for the rest of the thread's life. *)
 let test_etimedout_settles_inflight_accounting () =
   let fx = boot ~config:small_config () in
@@ -487,13 +487,12 @@ let test_etimedout_settles_inflight_accounting () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
-          let fm = Rakis.Syncproxy.fm proxy in
+          let fm = Rakis.Syncproxy.fm (Rakis.Runtime.syncproxy thread) in
           let fd =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/et")
           in
           let buf = Bytes.create 512 in
-          (match Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:512 with
+          (match Rakis.Iouring_fm.write fm ~fd ~off:0 ~buf ~pos:0 ~len:512 with
           | Error Abi.Errno.ETIMEDOUT -> ()
           | Error e -> Alcotest.failf "expected ETIMEDOUT, got %a" Abi.Errno.pp e
           | Ok _ -> Alcotest.fail "write succeeded under probability-1 faults");
@@ -544,6 +543,52 @@ let test_admission_shed_backpressure () =
           check_bool "accounting holds" true
             (Rakis.Iouring_fm.accounting_holds fm))
 
+(* Degraded mode is wired at boot: a bare [Runtime.boot], with no LibOS
+   around it, under a persistently dead XSK opens its breaker, sends
+   over the exit-based slow path, and every datagram [udp_sendto]
+   accepted reaches the peer. *)
+let test_bare_runtime_fails_over () =
+  let fx = boot ~config:small_config () in
+  let f =
+    install_bare_faults fx
+      [ { F.fault = F.Drop_wakeup; when_ = F.Probability 1.0; shard = None } ]
+  in
+  let k = fx.kernel in
+  let peer = Hostos.Kernel.udp_socket k in
+  Result.get_ok (Hostos.Kernel.bind k peer (Hostos.Kernel.client_ip k) 7300);
+  let received = ref 0 in
+  Sim.Engine.spawn fx.engine (fun () ->
+      let rec drain () =
+        match Hostos.Kernel.recvfrom k peer ~max:2048 with
+        | Ok _ ->
+            incr received;
+            drain ()
+        | Error _ -> ()
+      in
+      drain ());
+  let sent = 200 and accepted = ref 0 in
+  run_script fx (fun () ->
+      let sock = Rakis.Runtime.udp_socket fx.runtime in
+      ignore (Rakis.Runtime.udp_bind fx.runtime sock 5300);
+      for _ = 1 to sent do
+        match
+          Rakis.Runtime.udp_sendto fx.runtime sock (Bytes.make 256 'b')
+            ~dst:(Hostos.Kernel.client_ip k, 7300)
+        with
+        | Ok _ -> incr accepted
+        | Error _ -> () (* refused, so never accepted *)
+      done;
+      Sim.Engine.delay (Sim.Cycles.of_ms 50.));
+  check_bool "faults fired" true (F.injected_of f F.Drop_wakeup > 0);
+  let b = Rakis.Runtime.xsk_breaker fx.runtime in
+  check_bool "xsk breaker opened" true (H.opens b >= 1);
+  check_bool "sends failed over" true (H.failovers b > 0);
+  check_bool "slow path carried them" true
+    ((Rakis.Runtime.totals fx.runtime).slow_calls > 0);
+  check_bool "datagrams were accepted" true (!accepted > 0);
+  check "every accepted datagram arrived" !accepted !received;
+  check_bool "runtime invariant" true (Rakis.Runtime.invariant_holds fx.runtime)
+
 let suite =
   [
     Alcotest.test_case "breaker: opens on consecutive failures" `Quick
@@ -578,4 +623,6 @@ let suite =
       test_etimedout_settles_inflight_accounting;
     Alcotest.test_case "uring: admission shed backpressure" `Quick
       test_admission_shed_backpressure;
+    Alcotest.test_case "bare runtime: xsk fault fails over, no loss" `Quick
+      test_bare_runtime_fails_over;
   ]

@@ -150,6 +150,8 @@ let run_script fx f =
 
 let native_client fx = Libos.Hostapi.native fx.kernel
 
+let test_breaker () = Rakis.Health.of_config ~name:"t" ~clock:(fun () -> 0L) ()
+
 (* {1 Boot-time validation (Table 2, initialization rows)} *)
 
 let test_boot_rejects_trusted_pointers () =
@@ -170,7 +172,7 @@ let test_boot_rejects_trusted_pointers () =
   in
   ignore kernel;
   match
-    Rakis.Xsk_fm.create ~enclave
+    Rakis.Xsk_fm.create ~enclave ~breaker:(test_breaker ())
       ~config:{ small_config with umem_size = 64 * 2048 }
       ~stack ~fd:3 ~xsk ()
   with
@@ -193,7 +195,7 @@ let test_boot_rejects_negative_fd () =
       ~ip:Rakis.Config.default.ip ()
   in
   match
-    Rakis.Xsk_fm.create ~enclave
+    Rakis.Xsk_fm.create ~enclave ~breaker:(test_breaker ())
       ~config:{ small_config with umem_size = 64 * 2048 }
       ~stack ~fd:(-1) ~xsk ()
   with
@@ -220,7 +222,8 @@ let test_iouring_fm_rejects_trusted_bounce () =
   let enclave = Sgx.Enclave.create engine ~sgx:true ~name:"t" in
   let trusted = Mem.Region.create ~kind:Trusted ~name:"tr" ~size:(1 lsl 20) in
   match
-    Rakis.Iouring_fm.create ~enclave ~config:small_config ~fd:4 ~uring
+    Rakis.Iouring_fm.create ~enclave ~config:small_config
+      ~breaker:(test_breaker ()) ~fd:4 ~uring
       ~bounce:(Mem.Ptr.v trusted 0) ()
   with
   | Error (Rakis.Iouring_fm.Pointer_in_trusted _) -> ()

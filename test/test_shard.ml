@@ -75,10 +75,14 @@ let boot_sharded ~queues () =
 
 let runtime h = Option.get (Libos.Env.runtime h.Apps.Harness.env)
 
+(* The UDP workloads make no syscall RAKIS leaves unaccelerated, so
+   besides the verdict they take no host-call exit at all. *)
 let assert_fast_path h =
-  match Apps.Harness.fast_path_verdict h with
+  (match Apps.Harness.fast_path_verdict h with
   | Apps.Harness.Held -> ()
-  | v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v
+  | v -> Alcotest.failf "fast path: %a" Apps.Harness.pp_fast_path v);
+  check "unaccelerated-syscall exits" 0
+    (Rakis.Runtime.totals (runtime h)).host_call_exits
 
 let install_faults h plan =
   let rt = runtime h in
@@ -329,8 +333,11 @@ let shape_gen =
    one NIC queue, and each such queue belonging to that shard
    ([q mod num_queues = k]).  An XSK without a queue never sees its TX
    complete, and its breaker then opens the shard onto the exit-based
-   slow path. *)
+   slow path.  Each shape that boots then serves a short honest loadgen
+   (200 ops over 8 connections, 2 server threads): every op completes,
+   none is lost silently, and the run holds the fast-path verdict. *)
 let qcheck_every_xsk_owns_a_queue =
+  let shape_ops = 200 in
   QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
     (QCheck.Test.make ~name:"shape: every XSK owns a queue of its shard"
        ~count:60
@@ -339,11 +346,9 @@ let qcheck_every_xsk_owns_a_queue =
             Printf.sprintf "num_queues=%d num_xsks=%d nic_queues=%d" q x n)
           shape_gen)
        (fun ((queues, xsks), nic_queues) ->
-         let engine = Sim.Engine.create () in
-         let kernel = Hostos.Kernel.create engine ~nic_queues () in
          match
-           Rakis.Runtime.boot kernel ~sgx:true
-             ~config:(shape_config ~queues ~xsks) ()
+           Apps.Harness.make Libos.Env.Rakis_sgx
+             ~rakis_config:(shape_config ~queues ~xsks) ~nic_queues ()
          with
          | Error e ->
              queues > nic_queues
@@ -351,7 +356,8 @@ let qcheck_every_xsk_owns_a_queue =
                 = Printf.sprintf
                     "rakis config: num_queues (%d) exceeds NIC queues (%d)"
                     queues nic_queues
-         | Ok rt ->
+         | Ok h ->
+             let rt = runtime h in
              queues <= nic_queues
              && List.for_all
                   (fun k ->
@@ -363,7 +369,21 @@ let qcheck_every_xsk_owns_a_queue =
                            qs <> []
                            && List.for_all (fun q -> q mod queues = k) qs)
                          xsks)
-                  (List.init queues Fun.id)))
+                  (List.init queues Fun.id)
+             &&
+             let s =
+               Apps.Loadgen.run h ~server_threads:2
+                 ~config:
+                   { Apps.Loadgen.default with ops = shape_ops; connections = 8 }
+             in
+             let verdict = Apps.Harness.fast_path_verdict h in
+             (s.Apps.Loadgen.completed = shape_ops
+             && s.Apps.Loadgen.unaccounted = 0
+             && verdict = Apps.Harness.Held)
+             || QCheck.Test.fail_reportf
+                  "completed %d/%d, %d lost silently, fast path %a"
+                  s.Apps.Loadgen.completed shape_ops s.Apps.Loadgen.unaccounted
+                  Apps.Harness.pp_fast_path verdict))
 
 (* {1 One FIFO across shard sockets} *)
 
